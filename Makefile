@@ -19,8 +19,8 @@ all: build vet lint test
 # pooled-reuse chaos smoke, a one-iteration benchmark smoke (every
 # exhibit still regenerates, and the serial-vs-parallel suite
 # comparison still cross-checks), and the VM hot-loop regression gate
-# (ratios and hooked-run allocation count) against the recorded
-# baseline.
+# (hook-overhead ratio and hooked-run allocation count) against the
+# recorded baseline.
 ci: vet lint build
 	go test -race ./...
 	$(MAKE) cover-gate
@@ -135,12 +135,12 @@ bench-parallel:
 	go run ./cmd/vexp -bench-parallel BENCH_parallel.json
 
 # Record the interpreter hot-loop baseline (BENCH_vm.json): per-opcode
-# dispatch, hooked vs unhooked, batched vs legacy value delivery.
+# dispatch, and the hot loop unhooked vs under full-time profiling.
 bench-vm:
 	go run ./cmd/vexp -bench-vm BENCH_vm.json
 
-# Gate the machine-independent hot-loop ratios (hook overhead, batched
-# speedup) and the hooked-run allocation count against the recorded
+# Gate the machine-independent hot-loop figures (the hook-overhead
+# ratio and the hooked-run allocation count) against the recorded
 # baseline with ±10% tolerance.
 bench-vm-check:
 	go run ./cmd/vexp -bench-vm-check BENCH_vm.json

@@ -21,9 +21,9 @@
 // both produce identical profiles, and writes the timing report as
 // JSON (the repo's recorded benchmark baseline). -bench-vm records the
 // interpreter hot-loop baseline (per-opcode dispatch, hooked vs
-// unhooked, batched vs legacy value delivery); -bench-vm-check
-// re-measures and gates the machine-independent ratios against that
-// baseline with ±10% tolerance.
+// unhooked); -bench-vm-check re-measures and gates the hook-overhead
+// ratio and the hooked run's allocation count against that baseline
+// with ±10% tolerance.
 //
 // Robustness: -retries re-runs a failed experiment up to N extra
 // times (with deterministic backoff), -job-deadline bounds each
@@ -65,9 +65,9 @@ func main() {
 	benchVM := flag.String("bench-vm", "",
 		"run the VM hot-loop benchmarks, write the JSON report here, and exit")
 	benchVMCheck := flag.String("bench-vm-check", "",
-		"re-measure the VM hot loop and gate its ratios against this recorded baseline (exit 1 on regression)")
+		"re-measure the VM hot loop and gate its hook overhead and allocations against this recorded baseline (exit 1 on regression)")
 	benchDiff := flag.String("bench-diff", "",
-		"compare this recorded VM baseline against a second report (first positional arg, default BENCH_vm.json) without re-measuring; exit 1 if the gated ratios moved more than 10%")
+		"compare this recorded VM baseline against a second report (first positional arg, default BENCH_vm.json) without re-measuring; exit 1 if the gated figures moved more than 10%")
 	flag.Parse()
 
 	if *list {
@@ -218,7 +218,7 @@ func benchVMRecord(path string) {
 }
 
 // benchVMGate re-measures the hot path and fails if the machine-
-// independent ratios regressed more than 10% against the recorded
+// independent figures regressed more than 10% against the recorded
 // baseline.
 func benchVMGate(path string) {
 	baseline := readVMReport(path)
@@ -230,13 +230,13 @@ func benchVMGate(path string) {
 	if err := vmbench.Compare(baseline, cur, 0.10); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("vexp: vm bench within 10%% of %s (speedup %.2fx vs baseline %.2fx)\n",
-		path, cur.SpeedupVsLegacy, baseline.SpeedupVsLegacy)
+	fmt.Printf("vexp: vm bench within 10%% of %s (hook overhead %.2fx vs baseline %.2fx)\n",
+		path, cur.HookOverhead, baseline.HookOverhead)
 }
 
 // benchVMDiff compares two recorded reports without re-measuring:
 // per-metric and per-op ratio deltas, plus the same 10% gate on the
-// machine-independent ratios that bench-vm-check applies.
+// machine-independent figures that bench-vm-check applies.
 func benchVMDiff(oldPath, newPath string) {
 	baseline, current := readVMReport(oldPath), readVMReport(newPath)
 	text, err := vmbench.Diff(baseline, current, 0.10)
@@ -244,7 +244,7 @@ func benchVMDiff(oldPath, newPath string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println("vexp: gated ratios within 10%")
+	fmt.Println("vexp: gated figures within 10%")
 }
 
 func readVMReport(path string) *vmbench.Report {

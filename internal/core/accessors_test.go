@@ -111,36 +111,32 @@ func TestCheckpointerDefaultsAndErr(t *testing.T) {
 	}
 }
 
-// TestConvergentSamplerInterfaces drives the factory-built sampler
-// through both its per-execution and batch-replay interfaces and
-// checks they describe the same phase structure.
+// TestConvergentSamplerInterfaces drives the factory-built sampler one
+// execution per NextRun and in multi-execution runs, and checks both
+// describe the same phase structure.
 func TestConvergentSamplerInterfaces(t *testing.T) {
 	cfg := ConvergentConfig{BurstLen: 3, InitialSkip: 2, MaxSkip: 8, Epsilon: 0.5}
 
-	// Per-execution over a perfectly invariant site: the first burst's
-	// checkpoint has nothing to compare against, so the sampler profiles
-	// a second burst; its checkpoint converges and the skip begins.
-	s := NewConvergentFactory(cfg)()
+	// One execution per run over a perfectly invariant site: the first
+	// burst's checkpoint has nothing to compare against, so the sampler
+	// profiles a second burst; its checkpoint converges and the skip
+	// begins.
+	s := NewConvergentFactory(cfg)(0)
 	site := NewSiteStats(0, "s", DefaultTNVConfig(), false)
-	profiled := uint64(0)
-	for i := uint64(0); i < 2*cfg.BurstLen; i++ {
-		if !s.ShouldProfile(site) {
+	rec := replay(s, site, repeat(42, int(2*cfg.BurstLen)+1), 1)
+	for i, take := range rec.takes[:2*cfg.BurstLen] {
+		if !take {
 			t.Fatalf("execution %d not profiled; expected two full bursts before convergence", i)
 		}
-		site.Observe(42)
-		profiled++
 	}
-	if s.ShouldProfile(site) {
+	if rec.takes[2*cfg.BurstLen] {
 		t.Fatal("post-convergence execution profiled; skip phase expected")
 	}
 
-	// Batch replay: a fresh sampler describes the same phase structure
-	// as take-runs adding up to two bursts, with EndPhase at each
-	// boundary, then a skip run.
-	b, ok := NewConvergentFactory(cfg)().(BatchSampler)
-	if !ok {
-		t.Fatal("convergent sampler does not implement BatchSampler")
-	}
+	// Multi-execution runs: a fresh sampler describes the same phase
+	// structure as take-runs adding up to two bursts, with EndPhase at
+	// each boundary, then a skip run.
+	b := NewConvergentFactory(cfg)(0)
 	site2 := NewSiteStats(0, "s2", DefaultTNVConfig(), false)
 	var consumed uint64
 	for consumed < 2*cfg.BurstLen {

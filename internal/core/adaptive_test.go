@@ -85,7 +85,7 @@ func TestAdaptiveBudgetExclusiveWithSamplers(t *testing.T) {
 		t.Error("AdaptiveBudget + Convergent accepted")
 	}
 	if _, err := NewValueProfiler(Options{TNV: DefaultTNVConfig(), AdaptiveBudget: plan,
-		Sampler: func() Sampler { return nil }}); err == nil {
+		Sampler: func(int) Sampler { return nil }}); err == nil {
 		t.Error("AdaptiveBudget + Sampler accepted")
 	}
 	if _, err := NewValueProfiler(Options{TNV: DefaultTNVConfig(), AdaptiveBudget: plan}); err != nil {

@@ -65,25 +65,9 @@ func newConvState(cfg *ConvergentConfig) *convState {
 	return &convState{cfg: cfg, profiling: true, remaining: cfg.BurstLen}
 }
 
-// shouldProfile advances the state machine by one execution of the
-// site and reports whether this execution is profiled. site supplies
-// the cumulative invariance at burst boundaries.
-func (c *convState) shouldProfile(site *SiteStats) bool {
-	if c.profiling {
-		c.remaining--
-		if c.remaining == 0 {
-			c.checkpoint(site)
-		}
-		return true
-	}
-	c.remaining--
-	if c.remaining == 0 {
-		c.profiling = true
-		c.remaining = c.cfg.BurstLen
-	}
-	return false
-}
-
+// checkpoint runs at the end of a burst, before the burst's final
+// value is observed: it compares the site's cumulative invariance with
+// the previous checkpoint and picks the next phase.
 func (c *convState) checkpoint(site *SiteStats) {
 	c.checkpoints++
 	inv := site.InvTop(1)

@@ -63,15 +63,8 @@ func TestConvStateRearmOnDrift(t *testing.T) {
 	cfg := ConvergentConfig{BurstLen: 10, InitialSkip: 20, MaxSkip: 80, Epsilon: 0.05}
 	cs := newConvState(&cfg)
 	site := NewSiteStats(0, "s", DefaultTNVConfig(), false)
-	feed := func(v int64, n int) {
-		for i := 0; i < n; i++ {
-			if cs.shouldProfile(site) {
-				site.Observe(v)
-			} else {
-				site.Skipped++
-			}
-		}
-	}
+	sink := &sampledSink{site: site, sampler: cs}
+	feed := func(v int64, n int) { sink.ObserveBatch(repeat(v, n)) }
 
 	// Two constant bursts converge; a skip-20 round converges again,
 	// doubling to 40.

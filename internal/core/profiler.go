@@ -38,12 +38,6 @@ type Options struct {
 	// sites are down-sampled convergently, and uncertain sites get the
 	// full budget. Mutually exclusive with Convergent and Sampler.
 	AdaptiveBudget *AdaptivePlan
-	// Unbatched forces the legacy closure-per-execution observation
-	// path for full-time sites instead of batched value buffers. The
-	// resulting profile is byte-identical either way (the differential
-	// harness proves it); the switch exists for that proof and for the
-	// before/after interpreter benchmarks.
-	Unbatched bool
 }
 
 // SiteBudget is the per-site sampling effort an AdaptivePlan assigns.
@@ -125,10 +119,9 @@ type ValueProfiler struct {
 	// sampled marks the pcs the adaptive plan placed under convergent
 	// sampling (BudgetSampled).
 	sampled map[int]bool
-	// bufs holds the per-site value buffers of batched sites (full-time
-	// sites, and sampled sites whose sampler is batch-replayable). A
-	// buffer persists across Instrument calls of a reused profiler so
-	// carried-over values keep their order; FlushBuffers drains them.
+	// bufs holds the per-site value buffers. A buffer persists across
+	// Instrument calls of a reused profiler so carried-over values keep
+	// their order; FlushBuffers drains them.
 	bufs map[int]*vm.ValueBuffer
 	// freeBufs recycles value buffers across ResetFor generations.
 	freeBufs []*vm.ValueBuffer
@@ -224,67 +217,42 @@ func (p *ValueProfiler) Instrument(ix *atom.Instrumenter) {
 	p.runs++
 	p.prepare(ix)
 	factory := p.opts.Sampler
-	if p.opts.Convergent != nil {
+	switch {
+	case p.opts.Convergent != nil:
 		cfg := *p.opts.Convergent
-		factory = func() Sampler { return newConvState(&cfg) }
-	}
-	if p.opts.AdaptiveBudget != nil {
+		factory = func(int) Sampler { return newConvState(&cfg) }
+	case p.opts.AdaptiveBudget != nil:
 		// Per-site allocation: sampled sites share the plan's convergent
 		// config, full-budget sites hook every execution.
 		cfg := p.opts.AdaptiveBudget.sampledConfig()
-		sampledFactory := func() Sampler { return newConvState(&cfg) }
-		factory = nil
-		for pc := range p.sites {
+		factory = func(pc int) Sampler {
 			if p.sampled[pc] {
-				p.hook(ix, pc, sampledFactory())
-			} else {
-				p.hook(ix, pc, nil)
+				return newConvState(&cfg)
 			}
+			return nil
 		}
-		return
 	}
 	for pc := range p.sites {
-		if factory == nil {
-			p.hook(ix, pc, nil)
-			continue
+		var sampler Sampler
+		if factory != nil {
+			sampler = factory(pc)
 		}
-		p.hook(ix, pc, factory())
+		p.hook(ix, pc, sampler)
 	}
 }
 
 // hook attaches the after-instruction analysis routine for one site,
-// full-time when sampler is nil. Full-time sites get a batched value
-// buffer (unless Options.Unbatched) — the VM pushes raw values and the
-// site observes them in order at flush time. Sampled sites whose
-// sampler is batch-replayable (BatchSampler) also batch: the flush
-// replays the take/skip decisions over the buffered stream with the
-// exact per-execution semantics. Only samplers with per-execution
-// randomness keep the closure path, where the decision is a function
-// of the exact execution at which it runs.
+// full-time when sampler is nil. Every site gets a batched value
+// buffer: the VM pushes raw values and the site observes them in order
+// at flush time. A sampled site's flush replays the sampler's
+// take/skip decisions over the buffered stream (see sampledSink).
 func (p *ValueProfiler) hook(ix *atom.Instrumenter, pc int, sampler Sampler) {
 	site := p.sites[pc]
 	if sampler == nil {
-		if p.opts.Unbatched {
-			ix.AddAfter(pc, func(ev *vm.Event) { site.Observe(ev.Value) })
-			return
-		}
 		p.attachBuffered(ix, pc, site)
 		return
 	}
-	if bs, ok := sampler.(BatchSampler); ok && !p.opts.Unbatched {
-		p.attachBuffered(ix, pc, &sampledSink{site: site, sampler: bs})
-		return
-	}
-	// The skip counter lives on the site: the hook closure touches
-	// no profiler-level state, so hooks of profilers running on
-	// pooled workers share nothing.
-	ix.AddAfter(pc, func(ev *vm.Event) {
-		if sampler.ShouldProfile(site) {
-			site.Observe(ev.Value)
-		} else {
-			site.Skipped++
-		}
-	})
+	p.attachBuffered(ix, pc, &sampledSink{site: site, sampler: sampler})
 }
 
 // attachBuffered wires pc's value stream into sink through a (possibly

@@ -233,14 +233,11 @@ func TestConvStateMachine(t *testing.T) {
 	}
 	cs := newConvState(&cfg)
 	site := NewSiteStats(0, "s", DefaultTNVConfig(), false)
+	sink := &sampledSink{site: site, sampler: cs}
 	profile := func(n int) (profiled int) {
-		for i := 0; i < n; i++ {
-			if cs.shouldProfile(site) {
-				site.Observe(9)
-				profiled++
-			}
-		}
-		return profiled
+		before := site.Exec
+		sink.ObserveBatch(repeat(9, n))
+		return int(site.Exec - before)
 	}
 	// First burst: all 10 profiled; the first checkpoint is never
 	// "converged", so profiling continues with a fresh burst.

@@ -1,42 +1,24 @@
 package core
 
-// Sampler decides, per execution of a profiled site, whether the
-// expensive analysis path runs. The convergent sampler (convergent.go)
-// is the paper's contribution; PeriodicSampler, RandomSampler and
+// Sampler decides which executions of a profiled site run the
+// expensive analysis path. The convergent sampler (convergent.go) is
+// the paper's contribution; PeriodicSampler, RandomSampler and
 // BurstSampler are the baselines the thesis's related-work discussion
 // raises when asking whether CPI-style random sampling "is sufficient
 // for value profiling" (its stated open question).
+//
+// Decisions depend only on the observation count (and, for the
+// convergent sampler, on the site's statistics at phase boundaries),
+// so they are replayed over the VM's buffered value batches: at flush
+// time sampledSink asks for the next homogeneous take-or-skip run.
 type Sampler interface {
-	// ShouldProfile advances the sampler by one execution of the site
-	// and reports whether this execution is profiled. The site's
-	// cumulative statistics are available for adaptive policies.
-	ShouldProfile(site *SiteStats) bool
-}
-
-// SamplerFactory creates one independent Sampler per profiled site.
-type SamplerFactory func() Sampler
-
-// BatchSampler is a Sampler whose decisions can be replayed over a
-// batch of consecutive executions: instead of one ShouldProfile call
-// per execution, the profiler asks for the length of the next
-// homogeneous take-or-skip run. Deterministic phase-structured
-// samplers (convergent, burst, periodic) implement it, which lets
-// their sites use the VM's batched ValueBuffer path with the exact
-// per-execution semantics — including the order of convergence
-// checkpoints relative to observations — reproduced at flush time
-// (byte identity proven by internal/difftest). Samplers that draw
-// fresh per-execution randomness (RandomSampler) cannot, and keep the
-// exact closure path.
-type BatchSampler interface {
-	Sampler
 	// NextRun consumes up to max pending executions (max ≥ 1) and
 	// reports whether they are profiled, how many were consumed
 	// (1 ≤ n ≤ max), and whether the current phase's final execution
 	// is among them. When boundary is set the caller must invoke
 	// EndPhase — for a take run, between observing value n-1 and value
-	// n, matching the exact machine's checkpoint-before-last-
-	// observation order (shouldProfile decrements, checkpoints, then
-	// lets the value be observed).
+	// n (the convergence checkpoint precedes the burst's last
+	// observation).
 	NextRun(max uint64) (take bool, n uint64, boundary bool)
 	// EndPhase performs the phase-boundary transition — the
 	// convergence checkpoint for the convergent sampler, a no-op for
@@ -44,13 +26,19 @@ type BatchSampler interface {
 	EndPhase(site *SiteStats)
 }
 
-// sampledSink replays a batch-replayable sampler over one site's
-// buffered value stream. It is the flush target wiring sampled sites
-// into vm.ValueBuffer: the VM delivers every executed value in order,
-// and the sink partitions the batch into the sampler's take/skip runs.
+// SamplerFactory creates the Sampler of the site at pc. A factory must
+// hold no mutable state: one factory may serve many profilers at once
+// (a shared core.Options on a worker pool), and sites are instrumented
+// in no particular order.
+type SamplerFactory func(pc int) Sampler
+
+// sampledSink replays a site's sampler over its buffered value stream.
+// It is the flush target wiring sampled sites into vm.ValueBuffer: the
+// VM delivers every executed value in order, and the sink partitions
+// the batch into the sampler's take/skip runs.
 type sampledSink struct {
 	site    *SiteStats
-	sampler BatchSampler
+	sampler Sampler
 }
 
 // ObserveBatch implements vm.ValueSink.
@@ -58,7 +46,7 @@ func (k *sampledSink) ObserveBatch(vals []int64) {
 	for len(vals) > 0 {
 		take, n, boundary := k.sampler.NextRun(uint64(len(vals)))
 		if n == 0 || n > uint64(len(vals)) {
-			panic("core: batch sampler returned run length out of range")
+			panic("core: sampler returned run length out of range")
 		}
 		if take {
 			if boundary {
@@ -78,11 +66,8 @@ func (k *sampledSink) ObserveBatch(vals []int64) {
 	}
 }
 
-// ShouldProfile implements Sampler for the convergent state machine.
-func (c *convState) ShouldProfile(site *SiteStats) bool { return c.shouldProfile(site) }
-
-// NextRun implements BatchSampler: the remainder of the current burst
-// or skip period is one homogeneous run.
+// NextRun implements Sampler: the remainder of the current burst or
+// skip period is one homogeneous run.
 func (c *convState) NextRun(max uint64) (take bool, n uint64, boundary bool) {
 	n = c.remaining
 	boundary = n <= max
@@ -93,8 +78,8 @@ func (c *convState) NextRun(max uint64) (take bool, n uint64, boundary bool) {
 	return c.profiling, n, boundary
 }
 
-// EndPhase implements BatchSampler: the convergence checkpoint at a
-// burst boundary, or re-arming the next burst at a skip boundary.
+// EndPhase implements Sampler: the convergence checkpoint at a burst
+// boundary, or re-arming the next burst at a skip boundary.
 func (c *convState) EndPhase(site *SiteStats) {
 	if c.profiling {
 		c.checkpoint(site)
@@ -111,7 +96,7 @@ func NewConvergentFactory(cfg ConvergentConfig) SamplerFactory {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return func() Sampler { return newConvState(&cfg) }
+	return func(int) Sampler { return newConvState(&cfg) }
 }
 
 // PeriodicSampler profiles exactly one execution out of every Every.
@@ -120,18 +105,8 @@ type PeriodicSampler struct {
 	n     uint64
 }
 
-// ShouldProfile implements Sampler.
-func (p *PeriodicSampler) ShouldProfile(*SiteStats) bool {
-	p.n++
-	if p.n >= p.Every {
-		p.n = 0
-		return true
-	}
-	return false
-}
-
-// NextRun implements BatchSampler: Every-1 skips, then the one
-// profiled execution closing the cycle.
+// NextRun implements Sampler: Every-1 skips, then the one profiled
+// execution closing the cycle.
 func (p *PeriodicSampler) NextRun(max uint64) (take bool, n uint64, boundary bool) {
 	if p.Every <= 1 {
 		return true, max, false
@@ -149,8 +124,8 @@ func (p *PeriodicSampler) NextRun(max uint64) (take bool, n uint64, boundary boo
 	return false, rem, true
 }
 
-// EndPhase implements BatchSampler (NextRun already advanced the
-// cycle state).
+// EndPhase implements Sampler (NextRun already advanced the cycle
+// state).
 func (p *PeriodicSampler) EndPhase(*SiteStats) {}
 
 // NewPeriodicFactory samples 1-in-every executions deterministically.
@@ -158,29 +133,54 @@ func NewPeriodicFactory(every uint64) SamplerFactory {
 	if every == 0 {
 		every = 1
 	}
-	return func() Sampler { return &PeriodicSampler{Every: every} }
+	return func(int) Sampler { return &PeriodicSampler{Every: every} }
 }
 
-// RandomSampler profiles each execution independently with probability
-// Prob, using a per-site xorshift generator so runs stay deterministic.
+// RandomSampler profiles each execution independently with a fixed
+// probability, drawing one xorshift64* step per execution from its
+// site's deterministic stream.
 type RandomSampler struct {
-	// Threshold compares against the generator's low 32 bits.
+	// threshold is compared against the high 32 bits of each output.
 	threshold uint64
 	state     uint64
+	// ahead is the decision NextRun drew to find where its previous
+	// run ended, not yet consumed.
+	ahead, hasAhead bool
 }
 
-// ShouldProfile implements Sampler.
-func (r *RandomSampler) ShouldProfile(*SiteStats) bool {
-	// xorshift64*
+// draw advances the generator by one execution.
+func (r *RandomSampler) draw() bool {
 	r.state ^= r.state >> 12
 	r.state ^= r.state << 25
 	r.state ^= r.state >> 27
-	x := (r.state * 2685821657736338717) >> 32
-	return x&0xffffffff < r.threshold
+	return (r.state*2685821657736338717)>>32 < r.threshold
 }
 
-// NewRandomFactory samples with the given probability; each site gets
-// its own deterministic stream derived from seed.
+// NextRun implements Sampler: decisions are drawn one per execution
+// until one differs from the run's first (kept for the next run) or
+// max are consumed. The policy has no phases, so no run ends at a
+// boundary.
+func (r *RandomSampler) NextRun(max uint64) (take bool, n uint64, boundary bool) {
+	if r.hasAhead {
+		take, r.hasAhead = r.ahead, false
+	} else {
+		take = r.draw()
+	}
+	for n = 1; n < max; n++ {
+		if d := r.draw(); d != take {
+			r.ahead, r.hasAhead = d, true
+			break
+		}
+	}
+	return take, n, false
+}
+
+// EndPhase implements Sampler; it is never called.
+func (r *RandomSampler) EndPhase(*SiteStats) {}
+
+// NewRandomFactory samples with the given probability. The stream of
+// the site at pc is seeded from (seed, pc) alone, so a record depends
+// only on the program, its input, prob and seed.
 func NewRandomFactory(prob float64, seed uint64) SamplerFactory {
 	if prob < 0 {
 		prob = 0
@@ -189,15 +189,23 @@ func NewRandomFactory(prob float64, seed uint64) SamplerFactory {
 		prob = 1
 	}
 	threshold := uint64(prob * float64(1<<32))
-	next := seed
-	return func() Sampler {
-		next = next*6364136223846793005 + 1442695040888963407
-		s := next
-		if s == 0 {
-			s = 0x9e3779b97f4a7c15
-		}
-		return &RandomSampler{threshold: threshold, state: s}
+	return func(pc int) Sampler {
+		return &RandomSampler{threshold: threshold, state: randomStream(seed, pc)}
 	}
+}
+
+// randomStream derives the non-zero generator state of the site at pc
+// with the splitmix64 finalizer, so neighbouring pcs and seeds get
+// unrelated streams.
+func randomStream(seed uint64, pc int) uint64 {
+	z := seed + uint64(pc+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	if z == 0 {
+		z = 0x9e3779b97f4a7c15
+	}
+	return z
 }
 
 // BurstSampler profiles BurstLen consecutive executions out of every
@@ -209,23 +217,12 @@ type BurstSampler struct {
 	n        uint64
 }
 
-// ShouldProfile implements Sampler.
-func (b *BurstSampler) ShouldProfile(*SiteStats) bool {
-	on := b.n < b.BurstLen
-	b.n++
-	if b.n >= b.Interval {
-		b.n = 0
-	}
-	return on
-}
-
-// NextRun implements BatchSampler: the remainder of the current
-// burst (or of the skip tail of the interval) is one homogeneous run.
+// NextRun implements Sampler: the remainder of the current burst (or
+// of the skip tail of the interval) is one homogeneous run.
 func (b *BurstSampler) NextRun(max uint64) (take bool, n uint64, boundary bool) {
 	if b.Interval == 0 {
-		// Degenerate direct construction: ShouldProfile resets the
-		// cycle every execution, so the burst either always or never
-		// samples.
+		// Degenerate direct construction: the cycle restarts every
+		// execution, so the burst either always or never samples.
 		return b.BurstLen > 0, max, false
 	}
 	burst := b.BurstLen
@@ -250,8 +247,8 @@ func (b *BurstSampler) NextRun(max uint64) (take bool, n uint64, boundary bool) 
 	return take, rem, true
 }
 
-// EndPhase implements BatchSampler (NextRun already advanced the
-// cycle state).
+// EndPhase implements Sampler (NextRun already advanced the cycle
+// state).
 func (b *BurstSampler) EndPhase(*SiteStats) {}
 
 // NewBurstFactory samples burstLen-of-interval executions.
@@ -262,5 +259,5 @@ func NewBurstFactory(burstLen, interval uint64) SamplerFactory {
 	if burstLen > interval {
 		burstLen = interval
 	}
-	return func() Sampler { return &BurstSampler{BurstLen: burstLen, Interval: interval} }
+	return func(int) Sampler { return &BurstSampler{BurstLen: burstLen, Interval: interval} }
 }

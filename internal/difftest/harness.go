@@ -13,6 +13,9 @@ import (
 	"valueprof/internal/vm"
 )
 
+// The random-sampled run's rate and seed (see checkRandom).
+const randomProb, randomSeed = 0.25, 7
+
 // Options tunes the harness. Zero values select defaults chosen to
 // exercise every profiler path on small generated programs: the
 // stress TNV table is tiny with a short clear interval so LFU
@@ -150,7 +153,6 @@ func Check(prog *program.Program, name string, input, input2 []int64, opts Optio
 	h.checkStressTNV(ref, input)
 	h.checkSteadyTNV(ref, input)
 	if recFull != nil {
-		h.checkUnbatched(recFull, resFull, input)
 		h.checkReuse(recFull, resFull, input, input2)
 		h.checkUnfused(recFull, resFull, input)
 		h.checkResume(recFull, input)
@@ -160,16 +162,19 @@ func Check(prog *program.Program, name string, input, input2 []int64, opts Optio
 		h.checkPredict(ref, recFull, input)
 	}
 	h.checkShardMerge(ref, ref2, input, input2)
-	h.checkConvergent(ref, input)
-	h.checkSampledBatch(input)
+	h.checkConvergent(ref, resRef, input)
+	h.checkRandom(ref, resRef, input)
 	return h.report
 }
 
 // checkExact asserts the optimized profiler with sampling off matches
 // the reference exactly: counters, exact full profile, and a naive
 // replay of the TNV replacement policy, plus execution transparency
-// and run-to-run determinism. Returns the full-time record and run
-// result for the downstream properties.
+// and run-to-run determinism. Transparency includes the analysis-call
+// count: the reference attaches a per-execution closure to the same
+// pcs, so the batched path must charge one call per buffered value.
+// Returns the full-time record and run result for the downstream
+// properties.
 func (h *harness) checkExact(ref *RefProfiler, resRef *vm.Result, input []int64) (*core.ProfileRecord, *vm.Result) {
 	const prop = "exact"
 	vp := h.profiler(prop, core.Options{TNV: h.opts.TNV, TrackFull: true})
@@ -183,10 +188,8 @@ func (h *harness) checkExact(ref *RefProfiler, resRef *vm.Result, input []int64)
 
 	// Instrumentation transparency: profiling must not perturb the
 	// execution itself.
-	if res.Output != resRef.Output || res.ExitStatus != resRef.ExitStatus ||
-		res.InstCount != resRef.InstCount || res.Cycles != resRef.Cycles {
-		h.fail(prop, -1, "profiled execution differs from reference run (output %q vs %q, inst %d vs %d)",
-			res.Output, resRef.Output, res.InstCount, resRef.InstCount)
+	if d := execDiff(res, resRef); d != "" {
+		h.fail(prop, -1, "profiled execution differs from reference run: %s", d)
 	}
 
 	profile := vp.Profile()
@@ -308,37 +311,6 @@ func (h *harness) checkSteadyTNV(ref *RefProfiler, input []int64) {
 	}
 }
 
-// checkUnbatched runs the profiler with batched value buffers forced
-// off and requires both sides of the switch to be indistinguishable:
-// the record must serialize byte-identically to the batched run's, and
-// the execution itself (output, instruction count, cycles, analysis
-// calls) must match — the batched path charges instrumentation
-// overhead per observed value, not per flush.
-func (h *harness) checkUnbatched(recFull *core.ProfileRecord, resFull *vm.Result, input []int64) {
-	const prop = "unbatched"
-	if resFull == nil {
-		return
-	}
-	vp := h.profiler(prop, core.Options{TNV: h.opts.TNV, TrackFull: true, Unbatched: true})
-	if vp == nil {
-		return
-	}
-	res, ok := h.run(prop, input, vp)
-	if !ok {
-		return
-	}
-	if res.Output != resFull.Output || res.ExitStatus != resFull.ExitStatus ||
-		res.InstCount != resFull.InstCount || res.Cycles != resFull.Cycles ||
-		res.AnalysisCalls != resFull.AnalysisCalls {
-		h.fail(prop, -1, "unbatched execution differs from batched (inst %d vs %d, cycles %d vs %d, analysis calls %d vs %d)",
-			res.InstCount, resFull.InstCount, res.Cycles, resFull.Cycles,
-			res.AnalysisCalls, resFull.AnalysisCalls)
-	}
-	if a, b := mustJSON(recFull), mustJSON(vp.Profile().Record(h.name, "in0")); a != b {
-		h.fail(prop, -1, "unbatched profile differs from batched run:\n got %s\nwant %s", b, a)
-	}
-}
-
 // checkReuse exercises the arena lifecycle directly: a VM and profiler
 // are dirtied on the secondary input, rewound in place with ResetFor,
 // and replayed on the primary input. Both the execution summary and
@@ -375,13 +347,8 @@ func (h *harness) checkReuse(recFull *core.ProfileRecord, resFull *vm.Result, in
 		h.fail(prop, -1, "reused run did not complete: %v (%v)", outcome, err)
 		return
 	}
-	res := vm.ResultOf(v, outcome)
-	if res.Output != resFull.Output || res.ExitStatus != resFull.ExitStatus ||
-		res.InstCount != resFull.InstCount || res.Cycles != resFull.Cycles ||
-		res.AnalysisCalls != resFull.AnalysisCalls {
-		h.fail(prop, -1, "reused execution differs from fresh (inst %d vs %d, cycles %d vs %d, analysis calls %d vs %d)",
-			res.InstCount, resFull.InstCount, res.Cycles, resFull.Cycles,
-			res.AnalysisCalls, resFull.AnalysisCalls)
+	if d := execDiff(vm.ResultOf(v, outcome), resFull); d != "" {
+		h.fail(prop, -1, "reused execution differs from fresh: %s", d)
 	}
 	if a, b := mustJSON(recFull), mustJSON(vp.Profile().Record(h.name, "in0")); a != b {
 		h.fail(prop, -1, "reused profile differs from fresh run:\n got %s\nwant %s", b, a)
@@ -410,12 +377,8 @@ func (h *harness) checkUnfused(recFull *core.ProfileRecord, resFull *vm.Result, 
 	if !ok {
 		return
 	}
-	if res.Output != resFull.Output || res.ExitStatus != resFull.ExitStatus ||
-		res.InstCount != resFull.InstCount || res.Cycles != resFull.Cycles ||
-		res.AnalysisCalls != resFull.AnalysisCalls {
-		h.fail(prop, -1, "unfused execution differs from fused (inst %d vs %d, cycles %d vs %d, analysis calls %d vs %d)",
-			res.InstCount, resFull.InstCount, res.Cycles, resFull.Cycles,
-			res.AnalysisCalls, resFull.AnalysisCalls)
+	if d := execDiff(res, resFull); d != "" {
+		h.fail(prop, -1, "unfused execution differs from fused: %s", d)
 	}
 	if a, b := mustJSON(recFull), mustJSON(vp.Profile().Record(h.name, "in0")); a != b {
 		h.fail(prop, -1, "unfused profile differs from fused run:\n got %s\nwant %s", b, a)
@@ -698,7 +661,8 @@ func (h *harness) checkPredict(ref *RefProfiler, recFull *core.ProfileRecord, in
 // contract twice over. First, exactly: which executions get profiled
 // is a deterministic function of the value stream, so every counter
 // and TNV entry of the sampled run must equal a naive replay of the
-// burst/skip state machine (SimulateConvergent). Second, accuracy:
+// burst/skip state machine (SimulateConvergent), and the execution
+// must match the reference run's (see sampledRun). Second, accuracy:
 // the sampled Inv-Top(1) must stay within a provable distance of the
 // exact Inv-All(1). Epsilon alone is NOT that distance — the
 // convergence criterion only bounds checkpoint-to-checkpoint drift of
@@ -711,18 +675,15 @@ func (h *harness) checkPredict(ref *RefProfiler, recFull *core.ProfileRecord, in
 //	lost/profiled             TNV counts the table did not retain:
 //	                          shed by eviction or clearing, or dropped
 //	                          outright against a full fully-steady table
-func (h *harness) checkConvergent(ref *RefProfiler, input []int64) {
+func (h *harness) checkConvergent(ref *RefProfiler, resRef *vm.Result, input []int64) {
 	const prop = "convergent"
 	cfg := h.opts.Convergent
 	tnv := h.opts.TNV
-	vp := h.profiler(prop, core.Options{TNV: tnv, Convergent: &cfg})
-	if vp == nil {
+	profile := h.sampledRun(prop, core.Options{TNV: tnv, Convergent: &cfg}, resRef, input)
+	if profile == nil {
 		return
 	}
-	if _, ok := h.run(prop, input, vp); !ok {
-		return
-	}
-	for _, s := range vp.Profile().Sites {
+	for _, s := range profile.Sites {
 		seq := ref.Seqs[s.PC]
 		if s.Exec+s.Skipped != uint64(len(seq)) {
 			h.fail(prop, s.PC, "profiled %d + skipped %d != executions %d", s.Exec, s.Skipped, len(seq))
@@ -730,19 +691,8 @@ func (h *harness) checkConvergent(ref *RefProfiler, input []int64) {
 		}
 		sim := SimulateConvergent(seq, tnv.Size, tnv.Steady, tnv.ClearInterval,
 			cfg.BurstLen, cfg.InitialSkip, cfg.MaxSkip, cfg.Epsilon)
-		if s.Exec != sim.Profiled || s.Skipped != sim.Skipped {
-			h.fail(prop, s.PC, "profiled/skipped %d/%d != naive sampler replay %d/%d",
-				s.Exec, s.Skipped, sim.Profiled, sim.Skipped)
+		if !h.sameAsReplay(prop, s, sim) {
 			continue
-		}
-		if s.LVPHits != sim.LVPHits {
-			h.fail(prop, s.PC, "LVPHits %d != naive sampler replay %d", s.LVPHits, sim.LVPHits)
-		}
-		if s.Zeros != sim.Zeros {
-			h.fail(prop, s.PC, "Zeros %d != naive sampler replay %d", s.Zeros, sim.Zeros)
-		}
-		if d := tnvDiff(s.TNV, sim.TNV); d != "" {
-			h.fail(prop, s.PC, "sampled TNV %s", d)
 		}
 
 		// Accuracy bound. The table loss is computable from the replay:
@@ -766,43 +716,88 @@ func (h *harness) checkConvergent(ref *RefProfiler, input []int64) {
 	}
 }
 
-// checkSampledBatch pins the batch-replayable sampling path: a
-// convergently sampled run through the buffered sinks (the default)
-// against the same run with Unbatched forced on, where the sampler
-// makes its decision per execution inside the hook closure. The
-// decision sequence is a deterministic function of the value stream,
-// so replaying it over flushed batches must profile exactly the same
-// executions — both records serialize byte-identically and the
-// execution summaries (including analysis-call counts) agree.
-func (h *harness) checkSampledBatch(input []int64) {
-	const prop = "sampled-batch"
-	cfgB, cfgU := h.opts.Convergent, h.opts.Convergent
-	vpB := h.profiler(prop, core.Options{TNV: h.opts.TNV, Convergent: &cfgB})
-	if vpB == nil {
+// checkRandom runs the random sampler and requires every site to
+// equal a naive per-execution replay of its stream (SimulateRandom):
+// which executions get profiled depends only on (seed, pc) and the
+// execution count, so counters and TNV entries must match exactly. The
+// execution must match the reference run's (see sampledRun), and a
+// second run with the same factory must serialize byte-identically.
+func (h *harness) checkRandom(ref *RefProfiler, resRef *vm.Result, input []int64) {
+	const prop = "random"
+	tnv := h.opts.TNV
+	opts := core.Options{TNV: tnv, Sampler: core.NewRandomFactory(randomProb, randomSeed)}
+	profile := h.sampledRun(prop, opts, resRef, input)
+	if profile == nil {
 		return
 	}
-	resB, ok := h.run(prop, input, vpB)
+	for _, s := range profile.Sites {
+		h.sameAsReplay(prop, s, SimulateRandom(ref.Seqs[s.PC], tnv.Size, tnv.Steady, tnv.ClearInterval,
+			randomProb, randomSeed, s.PC))
+	}
+	if again := h.sampledRun(prop, opts, resRef, input); again != nil &&
+		mustJSON(again.Record(h.name, "in0")) != mustJSON(profile.Record(h.name, "in0")) {
+		h.fail(prop, -1, "two identical random-sampled runs serialized differently")
+	}
+}
+
+// sampledRun profiles input under a sampling configuration and
+// requires the execution to match the reference run's: decisions are
+// replayed at flush time, so every execution still costs one analysis
+// call. It returns nil if the run could not be made.
+func (h *harness) sampledRun(prop string, opts core.Options, resRef *vm.Result, input []int64) *core.Profile {
+	vp := h.profiler(prop, opts)
+	if vp == nil {
+		return nil
+	}
+	res, ok := h.run(prop, input, vp)
 	if !ok {
-		return
+		return nil
 	}
-	vpU := h.profiler(prop, core.Options{TNV: h.opts.TNV, Convergent: &cfgU, Unbatched: true})
-	if vpU == nil {
-		return
+	if d := execDiff(res, resRef); d != "" {
+		h.fail(prop, -1, "sampled execution differs from reference run: %s", d)
 	}
-	resU, ok := h.run(prop, input, vpU)
-	if !ok {
-		return
+	return vp.Profile()
+}
+
+// sameAsReplay compares a sampled site with its naive replay: counters
+// and TNV entries must be equal. It reports whether the profiled and
+// skipped counts matched, the precondition for comparing anything
+// derived from them.
+func (h *harness) sameAsReplay(prop string, s *core.SiteStats, sim *RefSampled) bool {
+	if s.Exec != sim.Profiled || s.Skipped != sim.Skipped {
+		h.fail(prop, s.PC, "profiled/skipped %d/%d != naive sampler replay %d/%d",
+			s.Exec, s.Skipped, sim.Profiled, sim.Skipped)
+		return false
 	}
-	if resB.Output != resU.Output || resB.ExitStatus != resU.ExitStatus ||
-		resB.InstCount != resU.InstCount || resB.Cycles != resU.Cycles ||
-		resB.AnalysisCalls != resU.AnalysisCalls {
-		h.fail(prop, -1, "batched sampled execution differs from unbatched (inst %d vs %d, cycles %d vs %d, analysis calls %d vs %d)",
-			resB.InstCount, resU.InstCount, resB.Cycles, resU.Cycles,
-			resB.AnalysisCalls, resU.AnalysisCalls)
+	if s.LVPHits != sim.LVPHits {
+		h.fail(prop, s.PC, "LVPHits %d != naive sampler replay %d", s.LVPHits, sim.LVPHits)
 	}
-	if a, b := mustJSON(vpB.Profile().Record(h.name, "in0")), mustJSON(vpU.Profile().Record(h.name, "in0")); a != b {
-		h.fail(prop, -1, "batched sampled profile differs from unbatched:\n got %s\nwant %s", a, b)
+	if s.Zeros != sim.Zeros {
+		h.fail(prop, s.PC, "Zeros %d != naive sampler replay %d", s.Zeros, sim.Zeros)
 	}
+	if d := tnvDiff(s.TNV, sim.TNV); d != "" {
+		h.fail(prop, s.PC, "sampled TNV %s", d)
+	}
+	return true
+}
+
+// execDiff compares the observable summaries of two runs — output,
+// exit status, instructions, cycles and analysis calls — and describes
+// the first difference, or returns "".
+func execDiff(got, want *vm.Result) string {
+	switch {
+	case got.Output != want.Output:
+		return fmt.Sprintf("output %q vs %q", got.Output, want.Output)
+	case got.ExitStatus != want.ExitStatus:
+		return fmt.Sprintf("exit status %d vs %d", got.ExitStatus, want.ExitStatus)
+	case got.InstCount != want.InstCount:
+		return fmt.Sprintf("inst %d vs %d", got.InstCount, want.InstCount)
+	case got.Cycles != want.Cycles:
+		return fmt.Sprintf("cycles %d vs %d", got.Cycles, want.Cycles)
+	case got.AnalysisCalls != want.AnalysisCalls:
+		return fmt.Sprintf("analysis calls %d vs %d", got.AnalysisCalls, want.AnalysisCalls)
+	}
+	return ""
 }
 
 // tnvDiff compares an optimized table against the naive replay and

@@ -235,19 +235,35 @@ func SimulateTNV(seq []int64, size, steady int, clearInterval uint64) *RefTNV {
 	return t
 }
 
-// ---- naive convergent-sampler simulation ----
+// ---- naive sampler simulations ----
 
 // RefSampled is the outcome of replaying a value sequence through a
-// naive reimplementation of the paper's convergent sampler: which
-// executions get profiled is a deterministic function of the value
-// stream, so the optimized sampled profiler must reproduce this
-// byte-for-byte.
+// naive reimplementation of a sampler: which executions get profiled
+// is a deterministic function of the value stream (and, for the random
+// sampler, of its seed), so the optimized sampled profiler must
+// reproduce this byte-for-byte.
 type RefSampled struct {
 	TNV      *RefTNV
 	Profiled uint64
 	Skipped  uint64
 	LVPHits  uint64
 	Zeros    uint64
+	last     int64
+	hasLast  bool
+}
+
+// observe profiles one value. LVP compares against the last profiled
+// value: skipped executions are never seen.
+func (s *RefSampled) observe(v int64) {
+	if s.hasLast && v == s.last {
+		s.LVPHits++
+	}
+	s.last, s.hasLast = v, true
+	if v == 0 {
+		s.Zeros++
+	}
+	s.TNV.Add(v)
+	s.Profiled++
 }
 
 // InvTop1 returns the table's invariance estimate.
@@ -274,8 +290,6 @@ func SimulateConvergent(seq []int64, size, steady int, clearInterval uint64,
 	var skip uint64
 	var lastInv float64
 	hasCkpt := false
-	var last int64
-	hasLast := false
 
 	for _, v := range seq {
 		if !profiling {
@@ -309,15 +323,38 @@ func SimulateConvergent(seq []int64, size, steady int, clearInterval uint64,
 				remaining = burstLen
 			}
 		}
-		if hasLast && v == last {
-			out.LVPHits++
+		out.observe(v)
+	}
+	return out
+}
+
+// SimulateRandom replays seq through the random sampler of the site at
+// pc, one decision per execution: the site's xorshift64* generator is
+// seeded with the splitmix64 finalizer of seed + (pc+1)·φ (φ the 64-bit
+// golden ratio; a zero result is replaced by φ), and an execution is
+// profiled when the high 32 bits of the step's output fall below
+// prob·2³² (prob in [0, 1]).
+func SimulateRandom(seq []int64, size, steady int, clearInterval uint64,
+	prob float64, seed uint64, pc int) *RefSampled {
+	out := &RefSampled{TNV: &RefTNV{Size: size, Steady: steady, ClearInterval: clearInterval}}
+	const phi = 0x9e3779b97f4a7c15
+	x := seed + uint64(pc+1)*phi
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	x ^= x >> 31
+	if x == 0 {
+		x = phi
+	}
+	threshold := uint64(prob * (1 << 32))
+	for _, v := range seq {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		if (x*2685821657736338717)>>32 >= threshold {
+			out.Skipped++
+			continue
 		}
-		last, hasLast = v, true
-		if v == 0 {
-			out.Zeros++
-		}
-		out.TNV.Add(v)
-		out.Profiled++
+		out.observe(v)
 	}
 	return out
 }

@@ -105,6 +105,42 @@ func TestSimulateConvergentHandComputed(t *testing.T) {
 	}
 }
 
+// TestSimulateRandomEdges pins the random replay's semantics apart from
+// core: the rate extremes, per-pc streams, and LVP over profiled
+// values only.
+func TestSimulateRandomEdges(t *testing.T) {
+	seq := []int64{0, 3, 3, 0, 3, 3, 3, 0}
+	// prob 1 profiles every execution: the counters are the sequence's
+	// own, and the table is its plain replay.
+	all := SimulateRandom(seq, 10, 5, 0, 1, 9, 4)
+	if all.Profiled != 8 || all.Skipped != 0 || all.LVPHits != RefLVPHits(seq) || all.Zeros != RefZeros(seq) {
+		t.Fatalf("prob 1: profiled/skipped/lvp/zeros = %d/%d/%d/%d", all.Profiled, all.Skipped, all.LVPHits, all.Zeros)
+	}
+	if d := SimulateTNV(seq, 10, 5, 0); len(all.TNV.Entries) != len(d.Entries) || all.TNV.Entries[0] != d.Entries[0] {
+		t.Fatalf("prob 1: entries %v, plain replay %v", all.TNV.Entries, d.Entries)
+	}
+	// prob 0 skips every execution.
+	if none := SimulateRandom(seq, 10, 5, 0, 0, 9, 4); none.Profiled != 0 || none.Skipped != 8 || none.TNV.Updates != 0 {
+		t.Fatalf("prob 0: profiled/skipped/updates = %d/%d/%d", none.Profiled, none.Skipped, none.TNV.Updates)
+	}
+	// In between, the decisions depend on (seed, pc) and LVP chains
+	// only across profiled values.
+	long := make([]int64, 4000)
+	for i := range long {
+		long[i] = int64(i % 2)
+	}
+	a, b := SimulateRandom(long, 10, 5, 0, 0.5, 9, 4), SimulateRandom(long, 10, 5, 0, 0.5, 9, 5)
+	if a.Profiled+a.Skipped != 4000 || a.Profiled < 1800 || a.Profiled > 2200 {
+		t.Fatalf("prob 0.5: profiled %d of %d", a.Profiled, a.Profiled+a.Skipped)
+	}
+	if a.Profiled == b.Profiled && a.LVPHits == b.LVPHits {
+		t.Fatal("pcs 4 and 5 drew the same decisions")
+	}
+	if a.LVPHits == 0 {
+		t.Fatal("alternating stream sampled at 0.5 shows no LVP hits across skipped executions")
+	}
+}
+
 // TestRefTNVMatchesCoreTable is the unit-level differential check: the
 // optimized TNVTable and the naive replay must agree entry-for-entry
 // on randomized streams across configurations, including the

@@ -6,11 +6,11 @@ import (
 )
 
 // Diff renders a metric-by-metric comparison of two recorded reports
-// (`make bench-diff`) and applies the same ±tol ratio gate Compare
-// uses, returning its error alongside the rendering. Absolute ns/inst
-// rows are informational — they only mean something when both reports
-// came from the same machine — while the ratio rows and the allocation
-// count are what the gate actually holds.
+// (`make bench-diff`) and applies the same ±tol gate Compare uses,
+// returning its error alongside the rendering. Absolute ns/inst rows
+// are informational — they only mean something when both reports came
+// from the same machine — while the hook-overhead ratio and the
+// allocation count are what the gate actually holds.
 func Diff(baseline, current *Report, tol float64) (string, error) {
 	var b strings.Builder
 	row := func(name string, old, new float64, format, note string) {
@@ -20,14 +20,12 @@ func Diff(baseline, current *Report, tol float64) (string, error) {
 		}
 		fmt.Fprintf(&b, "  %-18s "+format+"  -> "+format+"  %s %s\n", name, old, new, ratio, note)
 	}
-	b.WriteString("gated ratios:\n")
-	row("speedupVsLegacy", baseline.SpeedupVsLegacy, current.SpeedupVsLegacy, "%8.3f", "(higher better)")
+	b.WriteString("gated:\n")
 	row("hookOverhead", baseline.HookOverhead, current.HookOverhead, "%8.3f", "(lower better)")
 	row("hookedAllocs/run", baseline.HookedAllocsPerRun, current.HookedAllocsPerRun, "%8.0f", "(lower better)")
 	b.WriteString("informational (same-machine only):\n")
 	row("unhooked ns/inst", baseline.UnhookedNsPerInst, current.UnhookedNsPerInst, "%8.2f", "")
 	row("hooked ns/inst", baseline.HookedNsPerInst, current.HookedNsPerInst, "%8.2f", "")
-	row("legacy ns/inst", baseline.LegacyNsPerInst, current.LegacyNsPerInst, "%8.2f", "")
 	row("hookedAllocKB/run", baseline.HookedAllocKBPerRun, current.HookedAllocKBPerRun, "%8.1f", "")
 
 	base := make(map[string]float64, len(baseline.PerOp))

@@ -1,15 +1,14 @@
 // Package vmbench measures the interpreter hot path: per-opcode
-// dispatch microbenchmarks, the unhooked loop (pair fusion active),
-// and the hooked loop through both value-delivery paths — the batched
-// buffer sink and the legacy per-event closure (`core.Options.
-// Unbatched`). The recorded report (BENCH_vm.json) is the repo's VM
+// dispatch microbenchmarks, the unhooked loop (fusion active), and the
+// same loop under full-time profiling through the batched value
+// buffers. The recorded report (BENCH_vm.json) is the repo's VM
 // performance baseline; `Compare` gates regressions in `make ci`.
 //
 // Absolute ns/inst numbers are machine-dependent and recorded for
-// context only. The gated quantities are ratios of runs on the same
-// machine in the same process — HookOverhead (hooked vs unhooked) and
-// SpeedupVsLegacy (legacy closures vs batched buffers) — which cancel
-// out the hardware and stay comparable across recording environments.
+// context only. The gated quantities are machine-independent: the
+// ratio HookOverhead (hooked vs unhooked, timed on the same machine in
+// the same process, so the hardware cancels out) and the hooked run's
+// allocation count, which depends only on code paths.
 package vmbench
 
 import (
@@ -44,22 +43,17 @@ type Report struct {
 
 	UnhookedNsPerInst float64 `json:"unhookedNsPerInst"`
 	HookedNsPerInst   float64 `json:"hookedNsPerInst"`
-	LegacyNsPerInst   float64 `json:"legacyNsPerInst"`
 
 	// HookOverhead = HookedNsPerInst / UnhookedNsPerInst: the cost
 	// multiplier of full-time batched profiling. Gated (lower better).
 	HookOverhead float64 `json:"hookOverhead"`
-	// SpeedupVsLegacy = LegacyNsPerInst / HookedNsPerInst: what the
-	// batched value buffers buy over per-event closures on the same
-	// hooked loop. Gated (higher better).
-	SpeedupVsLegacy float64 `json:"speedupVsLegacy"`
 
 	// HookedAllocsPerRun / HookedAllocKBPerRun are the allocator
 	// traffic of one full hooked hot-loop run, profiler construction
 	// included — the quantity the arena reuse path amortizes away at
 	// the pool level. Allocation counts are machine-independent (they
 	// depend only on code paths), so the count is gated like the
-	// ratios; bytes are recorded for context. Zero in reports recorded
+	// ratio; bytes are recorded for context. Zero in reports recorded
 	// before the fields existed, which skips the gate.
 	HookedAllocsPerRun  float64 `json:"hookedAllocsPerRun,omitempty"`
 	HookedAllocKBPerRun float64 `json:"hookedAllocKBPerRun,omitempty"`
@@ -83,8 +77,8 @@ func ReadReport(r io.Reader) (*Report, error) {
 
 // String renders the one-line summary.
 func (r *Report) String() string {
-	return fmt.Sprintf("vm hot loop: unhooked %.1f ns/inst, hooked %.1f (%.2fx overhead), legacy %.1f — batched speedup %.2fx",
-		r.UnhookedNsPerInst, r.HookedNsPerInst, r.HookOverhead, r.LegacyNsPerInst, r.SpeedupVsLegacy)
+	return fmt.Sprintf("vm hot loop: unhooked %.1f ns/inst, hooked %.1f (%.2fx overhead)",
+		r.UnhookedNsPerInst, r.HookedNsPerInst, r.HookOverhead)
 }
 
 // Options sizes the measurement. The zero value selects recording
@@ -110,8 +104,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// hotSrc is the mixed hot loop used for the hooked-vs-unhooked and
-// batched-vs-legacy comparisons: a representative blend of ALU ops,
+// hotSrc is the mixed hot loop used for the hooked-vs-unhooked
+// comparison: a representative blend of ALU ops,
 // memory traffic, compares and a not-taken branch, with strong top-1
 // value bias (like real profiled code, most sites are near-invariant).
 const hotSrc = `
@@ -267,36 +261,24 @@ func Measure(opts Options) (*Report, error) {
 	}
 	rep.UnhookedNsPerInst, rep.Insts = unhooked, insts
 
-	profTool := func(o core.Options) func() (atom.Tool, func()) {
-		return func() (atom.Tool, func()) {
-			vp, err := core.NewValueProfiler(o)
-			if err != nil {
-				panic("vmbench: " + err.Error())
-			}
-			// Draining the buffers is part of the batched path's cost;
-			// it runs inside the timed region like it would in a real
-			// profiling pass.
-			return vp, vp.FlushBuffers
+	profiler := func() (atom.Tool, func()) {
+		vp, err := core.NewValueProfiler(core.DefaultOptions())
+		if err != nil {
+			panic("vmbench: " + err.Error())
 		}
+		// Draining the buffers is part of the hooked path's cost; it
+		// runs inside the timed region like it would in a real
+		// profiling pass.
+		return vp, vp.FlushBuffers
 	}
-	hooked, _, err := timeRun(prog, input, opts.Repeats, profTool(core.DefaultOptions()))
+	hooked, _, err := timeRun(prog, input, opts.Repeats, profiler)
 	if err != nil {
 		return nil, err
 	}
 	rep.HookedNsPerInst = hooked
-
-	legacyOpts := core.DefaultOptions()
-	legacyOpts.Unbatched = true
-	legacy, _, err := timeRun(prog, input, opts.Repeats, profTool(legacyOpts))
-	if err != nil {
-		return nil, err
-	}
-	rep.LegacyNsPerInst = legacy
-
 	rep.HookOverhead = hooked / unhooked
-	rep.SpeedupVsLegacy = legacy / hooked
 
-	allocs, kb, err := measureAllocs(prog, input, opts.Repeats, profTool(core.DefaultOptions()))
+	allocs, kb, err := measureAllocs(prog, input, opts.Repeats, profiler)
 	if err != nil {
 		return nil, err
 	}
@@ -320,17 +302,12 @@ func Measure(opts Options) (*Report, error) {
 }
 
 // Compare gates current against a recorded baseline. Only the
-// machine-independent ratios are gated, each with fractional tolerance
-// tol (0.10 = ±10%): SpeedupVsLegacy may not fall more than tol below
-// the baseline, HookOverhead may not rise more than tol above it.
-// Absolute ns/inst figures are never compared across recordings.
+// machine-independent quantities are gated, with fractional tolerance
+// tol (0.10 = ±10%): HookOverhead may not rise more than tol above the
+// baseline, nor HookedAllocsPerRun (see below). Absolute ns/inst
+// figures are never compared across recordings.
 func Compare(baseline, current *Report, tol float64) error {
 	var problems []string
-	if floor := baseline.SpeedupVsLegacy * (1 - tol); current.SpeedupVsLegacy < floor {
-		problems = append(problems, fmt.Sprintf(
-			"SpeedupVsLegacy %.3f below floor %.3f (baseline %.3f, tol %.0f%%)",
-			current.SpeedupVsLegacy, floor, baseline.SpeedupVsLegacy, tol*100))
-	}
 	if ceil := baseline.HookOverhead * (1 + tol); current.HookOverhead > ceil {
 		problems = append(problems, fmt.Sprintf(
 			"HookOverhead %.3f above ceiling %.3f (baseline %.3f, tol %.0f%%)",
