@@ -186,7 +186,7 @@ func ChaosCheck(seed uint64, opts ChaosOptions) *ChaosReport {
 		Resume:         true,
 		SalvagePartial: true,
 		Seed:           seed,
-		Chaos:          chaos,
+		Hooks:          chaos,
 	})
 	rep.Injected, rep.Stalled, rep.Corrupted = chaos.Stats()
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"valueprof/internal/atom"
+	"valueprof/internal/core"
 	"valueprof/internal/vm"
 )
 
@@ -12,7 +13,7 @@ import (
 // pool: Staller imitates a hung analysis routine, and PoolChaos drives
 // seeded faults, stalls, and checkpoint corruption across the
 // concurrent jobs of a supervised batch (it implements the
-// supervise.Chaos interface structurally, so this package needs no
+// supervise.Hooks interface structurally, so this package needs no
 // dependency on the supervisor).
 
 // Staller is an atom.Tool that sleeps once the VM's instruction count
@@ -87,8 +88,9 @@ func (c *PoolChaos) state(job, attempt int) uint64 {
 }
 
 // AttemptTool returns the disturbance for one job attempt, or nil for
-// a clean run.
-func (c *PoolChaos) AttemptTool(job, attempt int) atom.Tool {
+// a clean run. The attempt's profiler is not needed: disturbances act
+// on the VM alone.
+func (c *PoolChaos) AttemptTool(job, attempt int, _ *core.ValueProfiler) atom.Tool {
 	if attempt > c.cleanAfter() {
 		return nil
 	}

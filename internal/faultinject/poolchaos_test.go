@@ -43,7 +43,7 @@ func TestPoolChaosDeterministicPlans(t *testing.T) {
 	data := bytes.Repeat([]byte("checkpoint"), 20)
 	for job := 0; job < 8; job++ {
 		for attempt := 1; attempt <= 5; attempt++ {
-			ta, tb := a.AttemptTool(job, attempt), b.AttemptTool(job, attempt)
+			ta, tb := a.AttemptTool(job, attempt, nil), b.AttemptTool(job, attempt, nil)
 			if (ta == nil) != (tb == nil) {
 				t.Fatalf("job %d attempt %d: plans diverge", job, attempt)
 			}
@@ -68,7 +68,7 @@ func TestPoolChaosLeavesLateAttemptsClean(t *testing.T) {
 	c := &PoolChaos{Seed: 3, MaxAt: 1000, CleanAfter: 3}
 	for job := 0; job < 20; job++ {
 		for attempt := 4; attempt <= 8; attempt++ {
-			if c.AttemptTool(job, attempt) != nil {
+			if c.AttemptTool(job, attempt, nil) != nil {
 				t.Fatalf("job %d attempt %d disturbed past CleanAfter", job, attempt)
 			}
 		}
@@ -80,7 +80,7 @@ func TestPoolChaosSeedsProduceDifferentPlans(t *testing.T) {
 		c := &PoolChaos{Seed: seed, MaxAt: 1000}
 		for job := 0; job < 16; job++ {
 			for attempt := 1; attempt <= 3; attempt++ {
-				c.AttemptTool(job, attempt)
+				c.AttemptTool(job, attempt, nil)
 			}
 		}
 		n, _, _ := c.Stats()

@@ -32,13 +32,15 @@
 //
 // Fourth, daemon code in internal/serve may not call os.Exit (a
 // handler reports errors over the wire; only a command's main may end
-// the process), and may not construct per-job execution state outside
-// the arena path: vm.New/vm.NewSized, atom.Prepare, and
-// core.NewValueProfiler are banned there just as in the pool package,
-// because every VM and profiler a request touches must come from
-// parallel.AcquireVM/AcquireProfiler. Raw destructive writes are
-// covered by the first rule, which applies to every tree vvet runs
-// over — make lint runs it on internal/serve.
+// the process), and may not run guest code itself: vm.New/vm.NewSized,
+// atom.Prepare, and core.NewValueProfiler are banned there just as in
+// the pool package, and so are parallel.AcquireVM and atom.PrepareOn,
+// because every sub-run goes through internal/supervise — the one
+// attempt loop — and a VM acquired or instrumented in serve would be
+// the start of a second one. Only the config probe's
+// parallel.AcquireProfiler stays. Raw destructive writes are covered
+// by the first rule, which applies to every tree vvet runs over — make
+// lint runs it on internal/serve.
 package lint
 
 import (
@@ -92,6 +94,13 @@ var arenaBanned = map[string]string{
 	"core.NewValueProfiler": "acquire per-job profilers through the arena (AcquireProfiler) so pooling cannot silently regress",
 }
 
+// serveBanned maps the calls that would grow a second run loop in the
+// daemon, which runs every sub-run through internal/supervise.
+var serveBanned = map[string]string{
+	"parallel.AcquireVM": "run sub-runs through internal/supervise; serve must not grow a second attempt loop",
+	"atom.PrepareOn":     "run sub-runs through internal/supervise; serve must not grow a second attempt loop",
+}
+
 // serveScoped reports whether path falls under the daemon rule: a
 // non-test file in a directory named serve (the profiling-as-a-service
 // package, however the tree is rooted).
@@ -104,8 +113,8 @@ func serveScoped(path string) bool {
 
 // serveViolation flags daemon-scoped calls: os.Exit anywhere in serve
 // code (handlers report errors over the wire, they never end the
-// process), and the same arena-bypassing constructors the pool rule
-// bans — a request's VMs and profilers must come from the arena.
+// process), the same arena-bypassing constructors the pool rule bans,
+// and the VM setup that belongs to internal/supervise.
 func serveViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[string]string, osName string) *Finding {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -128,6 +137,9 @@ func serveViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[str
 	}
 	qualified := canonical + "." + sel.Sel.Name
 	if reason, ok := arenaBanned[qualified]; ok {
+		return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
+	}
+	if reason, ok := serveBanned[qualified]; ok {
 		return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
 	}
 	return nil
@@ -201,8 +213,8 @@ func CheckFile(fset *token.FileSet, fpath string) ([]Finding, error) {
 	}
 
 	// Resolve which local name refers to the os package ("" if the file
-	// never imports it), and — for arena-scoped files — which local
-	// names refer to the per-job state packages.
+	// never imports it), and — for arena- and serve-scoped files —
+	// which local names refer to the per-job state packages.
 	osName := ""
 	poolImports := map[string]string{}
 	for _, imp := range file.Imports {
@@ -217,7 +229,7 @@ func CheckFile(fset *token.FileSet, fpath string) ([]Finding, error) {
 		switch p {
 		case "os":
 			osName = name
-		case "valueprof/internal/vm", "valueprof/internal/atom", "valueprof/internal/core":
+		case "valueprof/internal/vm", "valueprof/internal/atom", "valueprof/internal/core", "valueprof/internal/parallel":
 			poolImports[name] = path.Base(p)
 		}
 	}

@@ -166,20 +166,25 @@ func buffers(n int) ([][]byte, []int) {
 
 func TestFlagsServeViolations(t *testing.T) {
 	// The negative fixture: a serve handler that kills the process,
-	// constructs its own VM and profiler, and writes a file raw. Every
-	// one of those is a distinct finding.
+	// constructs its own VM and profiler, runs an attempt on an arena
+	// VM of its own instead of through internal/supervise, and writes a
+	// file raw. Every one of those is a distinct finding.
 	src := `package serve
 
 import (
 	"os"
 
+	"valueprof/internal/atom"
 	"valueprof/internal/core"
+	pool "valueprof/internal/parallel"
 	"valueprof/internal/vm"
 )
 
 func handleRun(prog *Program) {
 	v := vm.New(prog)
 	vp := core.NewValueProfiler(core.Options{})
+	w := pool.AcquireVM(prog, 0)
+	atom.PrepareOn(w, atom.RunOptions{}, vp)
 	os.WriteFile("result.json", nil, 0o644)
 	if v == nil || vp == nil {
 		os.Exit(1)
@@ -187,14 +192,14 @@ func handleRun(prog *Program) {
 }
 `
 	fs := checkAt(t, "internal/serve/handlers.go", src)
-	if len(fs) != 4 {
-		t.Fatalf("findings = %d (%v), want 4", len(fs), fs)
+	if len(fs) != 6 {
+		t.Fatalf("findings = %d (%v), want 6", len(fs), fs)
 	}
 	calls := map[string]bool{}
 	for _, f := range fs {
 		calls[f.Call] = true
 	}
-	for _, want := range []string{"vm.New", "core.NewValueProfiler", "os.WriteFile", "os.Exit"} {
+	for _, want := range []string{"vm.New", "core.NewValueProfiler", "parallel.AcquireVM", "atom.PrepareOn", "os.WriteFile", "os.Exit"} {
 		if !calls[want] {
 			t.Errorf("missing finding %q in %v", want, fs)
 		}
@@ -242,18 +247,20 @@ func fixture(prog *Program) {
 	if len(fs) != 0 {
 		t.Errorf("serve test-file findings = %v, want none", fs)
 	}
-	// Benign serve code — reads, arena acquires, slices — is clean.
+	// Benign serve code — reads, the config probe's arena profiler,
+	// slices — is clean.
 	ok := `package serve
 
 import (
 	"os"
 
+	"valueprof/internal/core"
 	"valueprof/internal/parallel"
 )
 
 func load(path string, n int) ([]byte, []int64) {
-	v := parallel.AcquireVM(nil, 0)
-	defer parallel.ReleaseVM(v)
+	vp, _ := parallel.AcquireProfiler(core.Options{})
+	defer parallel.ReleaseProfiler(vp)
 	b, _ := os.ReadFile(path)
 	return b, make([]int64, n)
 }

@@ -4,10 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"valueprof/internal/asm"
 	"valueprof/internal/core"
+	"valueprof/internal/isa"
 )
 
 // The fairness suite pins the multi-tenant scheduling contract: a
@@ -163,6 +167,136 @@ func TestBudgetExhaustedClass(t *testing.T) {
 	}
 	if eb.Error.Class != ClassBudget {
 		t.Errorf("result error class %q, want %q", eb.Error.Class, ClassBudget)
+	}
+}
+
+// faultSrc is verifier-clean but faults deterministically: a counted
+// loop sums the input into t4, and the load through t4 lands far past
+// guest memory (input 1000000 with memSize 65536). The loop runs ~3M
+// instructions first, so a 1 ms deadline always expires before the
+// fault.
+const faultSrc = `
+        .proc main
+main:   syscall getint
+        add t5, v0, zero
+        li t4, 0
+loop:   add t4, t4, t5
+        addi t5, t5, -1
+        bne t5, loop
+        ldq t1, 0(t4)
+        addi a0, zero, 0
+        syscall exit
+        .endproc
+`
+
+// TestSubRunFailureClasses pins the wire outcome of each way a sub-run
+// fails under maxAttempts 3: a deterministic guest fault stops after
+// the second attempt repeats it, an absolute stepLimit stops at once,
+// and a spent deadline stops when a resumed attempt makes no progress
+// (resumable) or when the attempts run out (convergent).
+func TestSubRunFailureClasses(t *testing.T) {
+	prog, err := asm.Assemble(faultSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultPC := -1
+	for pc, in := range prog.Code {
+		if in.Op == isa.OpLdq {
+			faultPC = pc
+		}
+	}
+	conv := &WireConvergent{BurstLen: 500, InitialSkip: 1000, MaxSkip: 8000, Epsilon: 0.05}
+	cases := []struct {
+		name              string
+		cfg               JobConfig
+		class             string
+		attempts, resumed int
+	}{
+		{"fault", JobConfig{}, ClassFaulted, 2, 1},
+		{"step-limit", JobConfig{StepLimit: 1000}, ClassBudget, 1, 0},
+		{"deadline", JobConfig{DeadlineMs: 1}, ClassBudget, 2, 1},
+		{"deadline-convergent", JobConfig{DeadlineMs: 1, Convergent: conv}, ClassBudget, 3, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t, Options{Workers: 1})
+			cfg := tc.cfg
+			cfg.MaxAttempts = 3
+			cfg.MemSize = 1 << 16
+			j, _, rerr := s.submit(&JobRequest{
+				Client:  "fail",
+				Program: WireProgram{Asm: faultSrc},
+				Inputs:  [][]int64{{1000000}},
+				Config:  cfg,
+			})
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			st := waitTerminal(t, s, j.ID)
+			if st.State != StateFailed || st.Error == nil || st.Error.Class != tc.class {
+				t.Fatalf("want failed/%s, got %+v", tc.class, st)
+			}
+			if st.Attempts != tc.attempts || st.Resumed != tc.resumed {
+				t.Fatalf("attempts %d resumed %d, want %d and %d (%+v)",
+					st.Attempts, st.Resumed, tc.attempts, tc.resumed, st.Error)
+			}
+			if tc.class == ClassFaulted && !strings.Contains(st.Error.Message, fmt.Sprintf("pc %d", faultPC)) {
+				t.Errorf("fault message %q does not name pc %d", st.Error.Message, faultPC)
+			}
+		})
+	}
+}
+
+// TestCancelRunningSalvageJob: a client cancel of a running job is not
+// a budget failure, so salvagePartial must not turn it into a salvaged
+// result — the job ends cancelled, leaves no checkpoint behind, and
+// caches nothing.
+func TestCancelRunningSalvageJob(t *testing.T) {
+	dir := t.TempDir()
+	s, hs := newHTTPServer(t, Options{Workers: 1, StateDir: dir, PulseEvery: 2000, CheckpointEvery: 2000})
+	req := loopRequest("cancel", 3000000)
+	req.Config = JobConfig{SalvagePartial: true, MaxAttempts: 3, MemSize: 1 << 16}
+	code, st := submitHTTP(t, hs.URL, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+
+	// A persisted checkpoint proves the job is running.
+	ckpt := checkpointPath(dir, st.ID)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := os.Stat(ckpt); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint appeared")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code, body := call(t, http.MethodPost, hs.URL+"/v1/jobs/"+st.ID+"/cancel", nil); code != http.StatusOK {
+		t.Fatalf("cancel: %d\n%s", code, body)
+	}
+
+	// The single worker picks up the next job only after it has
+	// finished with the cancelled one.
+	code, next := submitHTTP(t, hs.URL, loopRequest("cancel", 10))
+	if code != http.StatusAccepted {
+		t.Fatalf("follow-up submit: %d", code)
+	}
+	if fin := waitTerminal(t, s, next.ID); fin.State != StateCompleted {
+		t.Fatalf("follow-up job: %+v", fin)
+	}
+
+	j, _ := s.jobByID(st.ID)
+	final := j.status()
+	if final.State != StateCancelled || final.Error == nil || final.Error.Class != ClassCancelled {
+		t.Fatalf("want cancelled, got %+v", final)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("checkpoint of the cancelled job survives: %v", err)
+	}
+	if _, hit := s.cache.get(st.Digest); hit {
+		t.Error("cancelled job left a cache entry")
 	}
 }
 

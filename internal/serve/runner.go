@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"time"
 
 	"valueprof/internal/atom"
+	"valueprof/internal/atomicio"
 	"valueprof/internal/core"
-	"valueprof/internal/parallel"
+	"valueprof/internal/supervise"
 	"valueprof/internal/vm"
 )
 
@@ -58,7 +60,7 @@ func (s *Server) execute(j *job) {
 				s.interrupted(j)
 				return
 			default:
-				if j.Config.SalvagePartial && partial != nil {
+				if partial != nil {
 					s.salvage(j, partial, class, msg)
 					return
 				}
@@ -120,263 +122,183 @@ func (s *Server) mergeSubRuns(j *job) ([]byte, error) {
 			return nil, err
 		}
 	}
-	var buf bytes.Buffer
-	if err := merged.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return recordJSON(merged)
 }
 
 // classEvicted is the internal (never wire-visible) class marking a
 // sub-run interrupted by daemon shutdown.
 const classEvicted = "evicted"
 
-// pulse is the per-attempt atom.Tool behind progress streaming and
-// restart survival: every `every` instructions it emits a
-// ProgressEvent, and every `ckEvery` instructions — for resumable
-// configs on a durable server — persists a VPCKPT1 checkpoint of the
-// run (checkpoints snapshot the guest memory image, so their interval
-// is much coarser). Like core.Checkpointer it arms lazily, so a
-// resumed attempt pulses one full interval after its resume point.
-type pulse struct {
-	every    uint64
-	ckEvery  uint64
-	next     uint64
-	ckNext   uint64
-	vp       *core.ValueProfiler
-	ckptPath string // "" = no persistence
-	progName string
-	inName   string
-	event    func(v *vm.VM)
-}
-
-func (p *pulse) Instrument(ix *atom.Instrumenter) {
-	ix.AddStep(func(v *vm.VM) error {
-		if p.next == 0 {
-			p.next = v.InstCount + p.every
-			p.ckNext = v.InstCount + p.ckEvery
-			return nil
-		}
-		if v.InstCount >= p.next {
-			p.next = v.InstCount + p.every
-			p.event(v)
-		}
-		if v.InstCount >= p.ckNext {
-			p.ckNext = v.InstCount + p.ckEvery
-			p.snapshot(v)
-		}
-		return nil
-	})
-}
-
-// snapshot persists the in-flight checkpoint; failures are swallowed —
-// a full disk degrades restart granularity, never the run.
-func (p *pulse) snapshot(v *vm.VM) {
-	if p.ckptPath == "" {
-		return
-	}
-	if ck, err := core.CheckpointOf(p.vp, v, p.progName, p.inName); err == nil {
-		ck.SaveAtomic(p.ckptPath)
-	}
-}
-
-// runOne executes one sub-run (one input) through the retry loop,
-// mirroring internal/supervise's classification: transient failures
-// retry (resuming from the carried checkpoint when the config allows),
-// budget overruns and deterministic guest faults stop the job. It
-// returns the completed record's serialized bytes, or a non-empty wire
-// error class with the salvageable partial record (nil unless
-// SalvagePartial captured one).
+// runOne executes one sub-run (one input) as a single supervised job:
+// internal/supervise owns the attempts, the checkpoint-carried resume,
+// and the classification, and subRunError maps its report onto the
+// wire. It returns the completed record's serialized bytes, or a
+// non-empty wire error class with the salvageable partial record (nil
+// unless SalvagePartial kept one).
 func (s *Server) runOne(j *job, progName string, inputIdx int, input []int64) (rec, partial []byte, class, msg string) {
 	cfg := &j.Config
-	inName := inputName(input)
-	opts := cfg.coreOptions()
-	resumable := cfg.resumable()
-	subStart := time.Now()
-
-	var ckptPath string
-	if resumable && s.opts.StateDir != "" {
-		ckptPath = checkpointPath(s.opts.StateDir, j.ID)
+	sj := supervise.Job{
+		Name:      progName,
+		InputName: inputName(input),
+		Prog:      j.Prog,
+		Input:     input,
+		Options:   cfg.coreOptions(),
+		Run:       cfg.runOptions(),
 	}
-
-	// A carried checkpoint resumes the next attempt. The first attempt
-	// loads it from disk — that is the restart-survival path — and
-	// later attempts carry it in memory through the same serialized
-	// form, so the integrity envelope guards both identically.
-	var carried []byte
-	if ckptPath != "" {
-		if ck, err := core.LoadCheckpoint(ckptPath); err == nil &&
-			ck.Program == progName && ck.Input == inName && ck.VM != nil {
-			var buf bytes.Buffer
-			if core.WriteCheckpoint(&buf, ck) == nil {
-				carried = buf.Bytes()
-			}
-		}
+	if cfg.DeadlineMs > 0 {
+		sj.Run.Deadline = time.Now().Add(time.Duration(cfg.DeadlineMs) * time.Millisecond)
 	}
-
-	type attemptEnd struct {
-		outcome vm.RunOutcome
-		inst    uint64
-		base    uint64
-		faultPC int
-		resumed bool
+	h := &subRun{s: s, j: j, input: inputIdx, prog: sj.Name, inName: sj.InputName}
+	if s.opts.StateDir != "" && supervise.CanResume(sj.Options) {
+		h.ckptPath = checkpointPath(s.opts.StateDir, j.ID)
+		// The restart-survival path: the first attempt resumes from the
+		// checkpoint a previous daemon left. A read error leaves none
+		// (usually there is no file), and supervise starts fresh from a
+		// damaged checkpoint or another input's.
+		sj.Checkpoint, _ = os.ReadFile(h.ckptPath)
 	}
-	var prev *attemptEnd
+	r := supervise.Run(j.ctx, 1, []supervise.Job{sj}, supervise.Policy{
+		MaxAttempts:     cfg.MaxAttempts,
+		AttemptDeadline: time.Duration(cfg.AttemptDeadlineMs) * time.Millisecond,
+		Resume:          true,
+		SalvagePartial:  cfg.SalvagePartial,
+		Hooks:           h,
+	}).Jobs[0]
+	j.mu.Lock()
+	j.attempts += r.Attempts
+	j.resumed += r.Resumed
+	j.mu.Unlock()
 
-	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-		if j.ctx.Err() != nil {
-			return nil, nil, s.interruptClass(), ""
-		}
-
-		var resume *core.Checkpoint
-		if resumable && carried != nil {
-			if ck, err := core.ReadCheckpoint(bytesReader(carried)); err == nil &&
-				ck.VM != nil && ck.Program == progName && ck.Input == inName {
-				resume = ck
-			}
-		}
-
-		vp, err := parallel.AcquireProfiler(opts)
+	// An interrupt is neither a result nor a budget failure, even when
+	// supervise kept a partial profile for it.
+	if r.Class == supervise.ClassAborted {
+		return nil, nil, s.interruptClass(), ""
+	}
+	if r.State == supervise.StateCompleted {
+		b, err := recordJSON(r.Profile.Record(sj.Name, sj.InputName))
 		if err != nil {
-			return nil, nil, ClassInternal, fmt.Sprintf("profiler setup: %v", err)
+			return nil, nil, ClassInternal, fmt.Sprintf("serializing record: %v", err)
 		}
-		if resume != nil {
-			if err := vp.Seed(resume); err != nil {
-				// Passed CRC but mismatches the profiler: as good as
-				// corrupt. Demote to a fresh start.
-				resume = nil
-				if err := vp.ResetFor(opts); err != nil {
-					parallel.ReleaseProfiler(vp)
-					return nil, nil, ClassInternal, fmt.Sprintf("profiler reset: %v", err)
-				}
-			}
-		}
+		return b, nil, "", ""
+	}
+	if r.State == supervise.StateSalvaged {
+		pr := r.Profile.Record(sj.Name, sj.InputName)
+		pr.Salvaged = true
+		pr.Outcome = r.Outcome.String()
+		// A partial that will not serialize is dropped: the job then
+		// fails with its budget error instead of salvaging.
+		partial, _ = recordJSON(pr)
+	}
+	class, msg = subRunError(&r, cfg, inputIdx)
+	return nil, partial, class, msg
+}
 
-		ropts := cfg.runOptions(input)
-		ropts.Deadline = cfg.deadline(subStart, time.Now())
-		v := parallel.AcquireVM(j.Prog, ropts.EffectiveMemSize())
-		a := attemptEnd{}
-		if resume != nil {
-			a.base = resume.InstCount()
-		}
-		p := &pulse{
-			every:    s.opts.PulseEvery,
-			ckEvery:  s.opts.CheckpointEvery,
-			vp:       vp,
-			ckptPath: ckptPath,
-			progName: progName,
-			inName:   inName,
-			event: func(v *vm.VM) {
-				j.emit(ProgressEvent{
-					Input:     inputIdx,
-					Inputs:    len(j.Inputs),
+// subRunError maps a failed sub-run's supervised ending — its class and
+// its last attempt's outcome — to the wire error class and message:
+//
+//	class      outcome    wire      cause
+//	permanent  faulted    faulted   the same fault at the same pc and instruction twice
+//	budget     faulted    faulted   attempts ran out on guest faults
+//	budget     limit      budget    the absolute stepLimit was reached
+//	budget     deadline   budget    a resumed attempt made no progress, or attempts ran out
+//	budget     cancelled  budget    attempts ran out
+//
+// A sub-run whose attempt never ran (profiler setup failed) is
+// internal.
+func subRunError(r *supervise.JobReport, cfg *JobConfig, input int) (class, msg string) {
+	switch {
+	case r.Exec == nil:
+		return ClassInternal, fmt.Sprintf("input %d: %v", input, r.Err)
+	case r.Outcome == vm.OutcomeFaulted && r.Class == supervise.ClassPermanent:
+		return ClassFaulted, fmt.Sprintf("input %d: deterministic fault: %v", input, r.Err)
+	case r.Outcome == vm.OutcomeFaulted:
+		return ClassFaulted, fmt.Sprintf("input %d: %v", input, r.Err)
+	case r.Outcome == vm.OutcomeLimit:
+		return ClassBudget, fmt.Sprintf("input %d: instruction budget %d exhausted", input, cfg.StepLimit)
+	case r.Outcome == vm.OutcomeDeadline && r.Attempts < cfg.MaxAttempts:
+		return ClassBudget, fmt.Sprintf("input %d: no forward progress under attempt deadline", input)
+	}
+	return ClassBudget, fmt.Sprintf("input %d: %d attempts exhausted (last outcome %s)", input, r.Attempts, r.Outcome)
+}
+
+// recordJSON serializes one profile record.
+func recordJSON(r *core.ProfileRecord) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// subRun is the supervise.Hooks of one sub-run, behind progress
+// streaming and restart survival. ckptPath is set for resumable configs
+// on a durable server; the checkpoint there is the one the next daemon
+// resumes from.
+type subRun struct {
+	s            *Server
+	j            *job
+	input        int
+	prog, inName string
+	ckptPath     string // "" = no persistence
+}
+
+// AttemptTool implements supervise.Hooks with one step routine per
+// attempt: every PulseEvery instructions it emits a ProgressEvent, and
+// when persisting, every CheckpointEvery instructions it snapshots the
+// run (each snapshot copies the guest memory image, so that interval is
+// much coarser). Like core.Checkpointer it arms lazily, so a resumed
+// attempt pulses one full interval after its resume point.
+func (h *subRun) AttemptTool(_, attempt int, vp *core.ValueProfiler) atom.Tool {
+	every, ckEvery := h.s.opts.PulseEvery, h.s.opts.CheckpointEvery
+	var ck *core.Checkpointer
+	if h.ckptPath != "" {
+		ck = core.NewCheckpointer(vp, h.ckptPath, ckEvery, h.prog, h.inName)
+	}
+	return atom.ToolFunc(func(ix *atom.Instrumenter) {
+		var next, ckNext uint64
+		resumed := false
+		ix.AddStep(func(v *vm.VM) error {
+			if next == 0 {
+				// The first step follows the attempt's first instruction,
+				// so an attempt that restored a checkpoint is already past
+				// instruction 1.
+				resumed = v.InstCount > 1
+				next = v.InstCount + every
+				ckNext = v.InstCount + ckEvery
+				return nil
+			}
+			if v.InstCount >= next {
+				next = v.InstCount + every
+				h.j.emit(ProgressEvent{
+					Input:     h.input,
+					Inputs:    len(h.j.Inputs),
 					Attempt:   attempt,
-					Resumed:   resume != nil,
+					Resumed:   resumed,
 					InstCount: v.InstCount,
 					Values:    v.AnalysisCalls,
 				})
-			},
-		}
-		atom.PrepareOn(v, ropts, atom.Tool(vp), p)
-		if resume != nil {
-			if err := resume.RestoreVM(v); err != nil {
-				// Machine state decoded but won't restore: restart the
-				// attempt from scratch through the pooled-VM lifecycle.
-				resume = nil
-				a.base = 0
-				if err := vp.ResetFor(opts); err != nil {
-					parallel.ReleaseVM(v)
-					return nil, nil, ClassInternal, fmt.Sprintf("profiler reset: %v", err)
-				}
-				v.ResetFor(j.Prog, ropts.EffectiveMemSize())
-				atom.PrepareOn(v, ropts, atom.Tool(vp), p)
-			} else {
-				a.resumed = true
-				j.mu.Lock()
-				j.resumed++
-				j.mu.Unlock()
 			}
-		}
+			if ck != nil && v.InstCount >= ckNext {
+				ckNext = v.InstCount + ckEvery
+				// A failed snapshot (full disk) degrades restart
+				// granularity, never the run.
+				ck.SnapshotNow(v)
+			}
+			return nil
+		})
+	})
+}
 
-		outcome, runErr := v.RunControlled(j.ctx)
-		a.outcome = outcome
-		a.inst = v.InstCount
-		a.faultPC = v.PC
-		j.mu.Lock()
-		j.attempts++
-		j.mu.Unlock()
-
-		if outcome == vm.OutcomeCompleted {
-			r := vp.Profile().Record(progName, inName)
-			var buf bytes.Buffer
-			err := r.WriteJSON(&buf)
-			parallel.ReleaseVM(v)
-			parallel.ReleaseProfiler(vp)
-			if err != nil {
-				return nil, nil, ClassInternal, fmt.Sprintf("serializing record: %v", err)
-			}
-			return buf.Bytes(), nil, "", ""
-		}
-
-		// The attempt stopped early. Capture its state: the serialized
-		// checkpoint carries the run into the next attempt (and, on
-		// disk, across a restart); the partial record is what salvage
-		// keeps when the budget runs dry.
-		if resumable {
-			if ck, err := core.CheckpointOf(vp, v, progName, inName); err == nil {
-				var buf bytes.Buffer
-				if core.WriteCheckpoint(&buf, ck) == nil {
-					carried = buf.Bytes()
-					if ckptPath != "" {
-						ck.SaveAtomic(ckptPath)
-					}
-				}
-			}
-		}
-		if cfg.SalvagePartial {
-			r := vp.Profile().Record(progName, inName)
-			r.Salvaged = true
-			r.Outcome = outcome.String()
-			var buf bytes.Buffer
-			if r.WriteJSON(&buf) == nil {
-				partial = buf.Bytes()
-			}
-		}
-		parallel.ReleaseVM(v)
-		parallel.ReleaseProfiler(vp)
-
-		switch outcome {
-		case vm.OutcomeCancelled:
-			return nil, partial, s.interruptClass(), ""
-		case vm.OutcomeLimit:
-			// StepLimit is the sub-run's total instruction budget; a
-			// resumed retry would continue toward the same absolute
-			// limit and stop on the same instruction.
-			return nil, partial, ClassBudget,
-				fmt.Sprintf("input %d: instruction budget %d exhausted", inputIdx, cfg.StepLimit)
-		case vm.OutcomeDeadline:
-			if a.resumed && a.inst <= a.base {
-				return nil, partial, ClassBudget,
-					fmt.Sprintf("input %d: no forward progress under attempt deadline", inputIdx)
-			}
-			// Retryable until attempts run out.
-		case vm.OutcomeFaulted:
-			if prev != nil && prev.outcome == vm.OutcomeFaulted &&
-				prev.faultPC == a.faultPC && prev.inst == a.inst {
-				return nil, partial, ClassFaulted,
-					fmt.Sprintf("input %d: deterministic fault at pc %d: %v", inputIdx, a.faultPC, runErr)
-			}
-		}
-		prev = &a
-		if attempt == cfg.MaxAttempts {
-			if outcome == vm.OutcomeFaulted {
-				return nil, partial, ClassFaulted, fmt.Sprintf("input %d: %v", inputIdx, runErr)
-			}
-			return nil, partial, ClassBudget,
-				fmt.Sprintf("input %d: %d attempts exhausted (last outcome %s)", inputIdx, cfg.MaxAttempts, outcome)
-		}
+// MangleCheckpoint implements supervise.Hooks: the checkpoint carried
+// to the next attempt is persisted unchanged, so a daemon stopped now —
+// evicted by shutdown or crashed — resumes from it.
+func (h *subRun) MangleCheckpoint(_, _ int, data []byte) []byte {
+	if h.ckptPath != "" {
+		// Like a failed periodic snapshot, a failed write only costs
+		// restart granularity.
+		atomicio.WriteFileBytes(h.ckptPath, data)
 	}
-	return nil, partial, ClassBudget, fmt.Sprintf("input %d: no attempts permitted", inputIdx)
+	return data
 }
 
 // interruptClass distinguishes daemon shutdown (eviction) from a

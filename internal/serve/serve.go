@@ -1,8 +1,8 @@
 // Package serve is the profiling-as-a-service layer: a long-running
 // HTTP/JSON daemon (mounted by cmd/vprofd) that accepts profiling jobs
 // — a VRISC program image, one or more input vectors, and a profiler
-// config — validates them with analysis.Verify, runs them under
-// request budgets on arena-pooled VMs and profilers, streams partial
+// config — validates them with analysis.Verify, runs each input as one
+// internal/supervise job under the request's budgets, streams partial
 // profiles and convergence progress over SSE, and serves merged
 // results from a content-addressed profile cache keyed by the
 // (program, inputs, config) digest.
@@ -10,12 +10,13 @@
 // Multi-tenancy comes from per-client job queues served round-robin
 // (one flooding client delays its own backlog, not everyone else's),
 // request budgets reuse the vm control plane (step limits, deadlines),
-// and in-flight jobs survive a restart: every PulseEvery instructions
-// the runner persists a VPCKPT1 checkpoint, a SIGTERM shutdown evicts
-// running jobs back to the queue, and recovery resumes them from the
-// checkpoint — producing results byte-identical to an uninterrupted
-// run (the restart-survival test pins this). See docs/serve.md for the
-// endpoint contracts, error classes, and digest format.
+// and in-flight jobs survive a restart: every CheckpointEvery
+// instructions the runner persists a VPCKPT1 checkpoint, a SIGTERM
+// shutdown evicts running jobs back to the queue, and recovery resumes
+// them from the checkpoint — producing results byte-identical to an
+// uninterrupted run (the restart-survival test pins this). See
+// docs/serve.md for the endpoint contracts, error classes, and digest
+// format.
 package serve
 
 import (

@@ -1,7 +1,7 @@
 // Package supervise turns the one-shot profiling jobs of
-// internal/parallel into managed, retryable, budgeted work — the job
-// runtime the future vprofd daemon will mount, consumed today by
-// vprof -jobs and vexp.
+// internal/parallel into managed, retryable, budgeted work — the one
+// job runtime behind vprof -jobs, vexp, vfuzz -chaos, and the vprofd
+// daemon (internal/serve runs every sub-run through it).
 //
 // Each supervised job runs under a Policy: a bounded number of
 // attempts with exponential backoff and deterministic seeded jitter,
@@ -48,14 +48,16 @@ const (
 	// ClassSuccess: the attempt completed and passed its output check.
 	ClassSuccess Class = iota
 	// ClassRetryable: a transient-looking failure (injected fault,
-	// cancellation, first deadline/limit overrun) worth another attempt.
+	// cancellation, deadline or per-attempt step overrun) worth another
+	// attempt.
 	ClassRetryable
 	// ClassPermanent: retrying cannot help — setup failure, output
 	// mismatch, or a deterministic guest fault (same site, same
 	// instruction count, two attempts in a row).
 	ClassPermanent
-	// ClassBudget: the job's budget is exhausted, or a resumed attempt
-	// made no forward progress so more budget would be wasted.
+	// ClassBudget: the job's budget is exhausted — its absolute step
+	// limit reached, its total budget spent, or a resumed attempt made
+	// no forward progress so more budget would be wasted.
 	ClassBudget
 	// ClassAborted: the supervisor's own context was cancelled.
 	ClassAborted
@@ -111,13 +113,14 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// Chaos injects failures into supervised runs for testing. It is
-// satisfied structurally (faultinject.PoolChaos implements it without
-// importing this package): AttemptTool returns the tool to attach to
-// one job attempt (nil for no injection), and MangleCheckpoint may
-// corrupt the serialized checkpoint carried between attempts.
-type Chaos interface {
-	AttemptTool(job, attempt int) atom.Tool
+// Hooks instruments supervised attempts. AttemptTool returns a tool to
+// attach to one job attempt beside its profiler vp (nil for none), and
+// MangleCheckpoint sees the serialized checkpoint carried to the next
+// attempt and returns the bytes to carry. faultinject.PoolChaos
+// implements it to kill, stall, and corrupt attempts; vprofd
+// implements it to stream progress and persist checkpoints.
+type Hooks interface {
+	AttemptTool(job, attempt int, vp *core.ValueProfiler) atom.Tool
 	MangleCheckpoint(job, attempt int, data []byte) []byte
 }
 
@@ -156,8 +159,8 @@ type Policy struct {
 	// BreakerThreshold quarantines a job group after this many
 	// consecutive permanently-failed jobs; 0 disables the breaker.
 	BreakerThreshold int
-	// Chaos, when non-nil, injects failures (testing only).
-	Chaos Chaos
+	// Hooks, when non-nil, instruments every attempt.
+	Hooks Hooks
 }
 
 func (p Policy) withDefaults() Policy {
@@ -216,11 +219,25 @@ type Job struct {
 	Want    string
 	Options core.Options
 	// Run carries the control-plane settings; Run.Input is ignored —
-	// the job's Input wins.
+	// the job's Input wins. Run.StepLimit is absolute across attempts:
+	// reaching it ends the job with ClassBudget.
 	Run atom.RunOptions
+	// Checkpoint, when non-nil, is a serialized checkpoint the first
+	// attempt resumes from, under the same rules and integrity checks
+	// as one carried between attempts (a daemon's restart path).
+	Checkpoint []byte
 }
 
 func (j *Job) label() string { return j.Name + "/" + j.InputName }
+
+// stepLimit is the job's absolute instruction limit: Run.StepLimit, or
+// the VM default when the job sets none.
+func (j *Job) stepLimit() uint64 {
+	if j.Run.StepLimit > 0 {
+		return j.Run.StepLimit
+	}
+	return vm.DefaultStepLimit
+}
 
 func (j *Job) group() string {
 	if j.Group != "" {
@@ -393,6 +410,8 @@ type attemptOut struct {
 	base    uint64
 	faultPC int
 	resumed bool
+	// atLimit marks a stop at the job's absolute step limit.
+	atLimit bool
 	// permanent marks failures no retry can fix (setup, output
 	// mismatch).
 	permanent bool
@@ -412,7 +431,7 @@ func (s *supervisor) runJob(job Job, index int) JobReport {
 	}
 
 	start := time.Now()
-	var carried []byte // serialized checkpoint from the last attempt
+	carried := job.Checkpoint // serialized checkpoint for the next attempt
 	var prev *attemptOut
 	var last *attemptOut
 	class := ClassRetryable
@@ -489,11 +508,11 @@ func (s *supervisor) sleepBackoff(index, attempt int) error {
 	}
 }
 
-// canResume reports whether a job's profiler state is fully captured
+// CanResume reports whether a job's profiler state is fully captured
 // by checkpoints. Convergent/custom sampling and full-profile ground
 // truth keep state outside the checkpoint, so resuming them would
-// diverge from an uninterrupted run.
-func canResume(opts core.Options) bool {
+// diverge from an uninterrupted run; such jobs retry from scratch.
+func CanResume(opts core.Options) bool {
 	return opts.Convergent == nil && opts.Sampler == nil && !opts.TrackFull
 }
 
@@ -504,12 +523,12 @@ func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carr
 	a := &attemptOut{}
 
 	// Decode the carried checkpoint through the same strict integrity
-	// gate the on-disk loader uses; damage demotes this attempt to a
-	// fresh start.
+	// gate the on-disk loader uses; damage, or a checkpoint of another
+	// program or input, demotes this attempt to a fresh start.
 	var resume *core.Checkpoint
-	if s.policy.Resume && carried != nil && canResume(job.Options) {
+	if s.policy.Resume && carried != nil && CanResume(job.Options) {
 		ck, err := core.ReadCheckpoint(bytes.NewReader(carried))
-		if err != nil || ck.VM == nil {
+		if err != nil || ck.VM == nil || ck.Program != job.Name || ck.Input != job.InputName {
 			rep.CorruptCheckpoints++
 		} else {
 			resume = ck
@@ -564,8 +583,8 @@ func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carr
 	}
 
 	tools := []atom.Tool{atom.Tool(vp)}
-	if s.policy.Chaos != nil {
-		if t := s.policy.Chaos.AttemptTool(index, attempt); t != nil {
+	if s.policy.Hooks != nil {
+		if t := s.policy.Hooks.AttemptTool(index, attempt, vp); t != nil {
 			tools = append(tools, t)
 		}
 	}
@@ -599,21 +618,22 @@ func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carr
 	a.profile = vp.Profile()
 	a.inst = v.InstCount
 	a.faultPC = v.PC
+	a.atLimit = outcome == vm.OutcomeLimit && v.InstCount >= job.stepLimit()
 	if outcome == vm.OutcomeCompleted && job.Want != "" && a.exec.Output != job.Want {
 		a.err = fmt.Errorf("supervise: %s output mismatch:\n got %q\nwant %q", job.label(), a.exec.Output, job.Want)
 		a.permanent = true
 	}
 
 	// Capture the salvage checkpoint for the next attempt. The bytes
-	// go through the real serializer so the chaos harness can corrupt
-	// them exactly as a torn disk write would.
+	// go through the real serializer, so what the hooks see — and the
+	// chaos harness corrupts — is exactly what a disk write holds.
 	if outcome != vm.OutcomeCompleted {
 		if ck, err := core.CheckpointOf(vp, v, job.Name, job.InputName); err == nil {
 			var buf bytes.Buffer
 			if core.WriteCheckpoint(&buf, ck) == nil {
 				a.ck = buf.Bytes()
-				if s.policy.Chaos != nil {
-					a.ck = s.policy.Chaos.MangleCheckpoint(index, attempt, a.ck)
+				if s.policy.Hooks != nil {
+					a.ck = s.policy.Hooks.MangleCheckpoint(index, attempt, a.ck)
 				}
 			}
 		}
@@ -652,9 +672,12 @@ func (s *supervisor) classify(a, prev *attemptOut) Class {
 		}
 		return ClassRetryable
 	case vm.OutcomeDeadline, vm.OutcomeLimit:
-		// A resumed attempt that could not advance past its resume
-		// point will never finish under this budget.
-		if a.resumed && a.inst <= a.base {
+		// The absolute step limit spans attempts, so any retry would
+		// stop on the same instruction; a resumed attempt that could
+		// not advance past its resume point will never finish under
+		// this budget either. A per-attempt AttemptSteps slice is not
+		// absolute and retries.
+		if a.atLimit || (a.resumed && a.inst <= a.base) {
 			return ClassBudget
 		}
 		return ClassRetryable

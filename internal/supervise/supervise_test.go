@@ -83,7 +83,7 @@ type scriptedChaos struct {
 	mangle func(job, attempt int, data []byte) []byte
 }
 
-func (c *scriptedChaos) AttemptTool(job, attempt int) atom.Tool {
+func (c *scriptedChaos) AttemptTool(job, attempt int, _ *core.ValueProfiler) atom.Tool {
 	if c.tools == nil {
 		return nil
 	}
@@ -113,7 +113,7 @@ func TestRetryResumesAndMatchesFaultFreeRun(t *testing.T) {
 		{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
 	}}
 	rep := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{
-		MaxAttempts: 3, Resume: true, Chaos: chaos,
+		MaxAttempts: 3, Resume: true, Hooks: chaos,
 	})
 	r := &rep.Jobs[0]
 	if r.State != StateCompleted || r.Class != ClassSuccess {
@@ -142,7 +142,7 @@ func TestRetryFromScratchWhenOptionsForbidResume(t *testing.T) {
 	job2 := loopJob(t)
 	job2.Options.TrackFull = true
 	rep := Run(context.Background(), 1, []Job{job2}, Policy{
-		MaxAttempts: 3, Resume: true, Chaos: chaos,
+		MaxAttempts: 3, Resume: true, Hooks: chaos,
 	})
 	r := &rep.Jobs[0]
 	if r.State != StateCompleted || r.Resumed != 0 {
@@ -150,6 +150,45 @@ func TestRetryFromScratchWhenOptionsForbidResume(t *testing.T) {
 	}
 	if got := recordBytes(t, r); !bytes.Equal(got, want) {
 		t.Error("from-scratch retry profile differs from fault-free run")
+	}
+}
+
+func TestJobCheckpointResumesFirstAttempt(t *testing.T) {
+	// A checkpoint handed in with the job — a restarted daemon's — seeds
+	// the first attempt; one taken from another input is refused like a
+	// corrupt one.
+	want := cleanBaseline(t)
+	var saved []byte
+	chaos := &scriptedChaos{
+		tools: map[[2]int]atom.Tool{
+			{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
+		},
+		mangle: func(job, attempt int, data []byte) []byte {
+			saved = data
+			return data
+		},
+	}
+	Run(context.Background(), 1, []Job{loopJob(t)}, Policy{Hooks: chaos})
+	if saved == nil {
+		t.Fatal("the failed attempt handed its hooks no checkpoint")
+	}
+
+	job := loopJob(t)
+	job.Checkpoint = saved
+	r := Run(context.Background(), 1, []Job{job}, Policy{Resume: true}).Jobs[0]
+	if r.State != StateCompleted || r.Attempts != 1 || r.Resumed != 1 {
+		t.Fatalf("state %v attempts %d resumed %d err %v", r.State, r.Attempts, r.Resumed, r.Err)
+	}
+	if got := recordBytes(t, &r); !bytes.Equal(got, want) {
+		t.Error("profile resumed from Job.Checkpoint differs from fault-free run")
+	}
+
+	other := loopJob(t)
+	other.InputName = "other"
+	other.Checkpoint = saved
+	r = Run(context.Background(), 1, []Job{other}, Policy{Resume: true}).Jobs[0]
+	if r.State != StateCompleted || r.Resumed != 0 || r.CorruptCheckpoints != 1 {
+		t.Fatalf("foreign checkpoint: state %v resumed %d corrupt %d", r.State, r.Resumed, r.CorruptCheckpoints)
 	}
 }
 
@@ -164,7 +203,7 @@ func TestCorruptCheckpointDemotesToFreshStart(t *testing.T) {
 		},
 	}
 	rep := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{
-		MaxAttempts: 3, Resume: true, Chaos: chaos,
+		MaxAttempts: 3, Resume: true, Hooks: chaos,
 	})
 	r := &rep.Jobs[0]
 	if r.State != StateCompleted {
@@ -186,7 +225,7 @@ func TestDeterministicFaultEscalatesToPermanent(t *testing.T) {
 		{0, 2}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
 	}}
 	rep := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{
-		MaxAttempts: 5, Chaos: chaos, SalvagePartial: true,
+		MaxAttempts: 5, Hooks: chaos, SalvagePartial: true,
 	})
 	r := &rep.Jobs[0]
 	if r.Attempts != 2 || r.Class != ClassPermanent {
@@ -235,6 +274,75 @@ func TestStuckBudgetStopsRetrying(t *testing.T) {
 	}
 }
 
+func TestAbsoluteStepLimitIsBudgetAtOnce(t *testing.T) {
+	// Run.StepLimit spans attempts: a retry, resumed or from scratch,
+	// stops on the same instruction, so the first overrun is final for
+	// resumable and convergent jobs alike.
+	conv := core.DefaultConvergentConfig()
+	for _, c := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"default", core.Options{TNV: core.DefaultTNVConfig()}},
+		{"convergent", core.Options{TNV: core.DefaultTNVConfig(), Convergent: &conv}},
+	} {
+		job := loopJob(t)
+		job.Options = c.opts
+		job.Run.StepLimit = 1000
+		rep := Run(context.Background(), 1, []Job{job}, Policy{MaxAttempts: 4, Resume: true})
+		r := &rep.Jobs[0]
+		if r.Class != ClassBudget || r.Outcome != vm.OutcomeLimit || r.State != StateFailed {
+			t.Errorf("%s: class %v outcome %v state %v", c.name, r.Class, r.Outcome, r.State)
+		}
+		if r.Attempts != 1 {
+			t.Errorf("%s: %d attempts on an absolute step limit, want 1", c.name, r.Attempts)
+		}
+	}
+}
+
+func TestAttemptDeadlineResumesAfterStall(t *testing.T) {
+	// A stalled first attempt overruns AttemptDeadline; the retry gets a
+	// fresh deadline, resumes from the carried checkpoint, and finishes
+	// with the fault-free profile. The deadline leaves the ~5k
+	// instruction retry ample room on a loaded race-detector host.
+	want := cleanBaseline(t)
+	job := loopJob(t)
+	job.Run.Quantum = 64
+	chaos := &scriptedChaos{tools: map[[2]int]atom.Tool{
+		{0, 1}: &faultinject.Staller{At: 1500, Sleep: 1500 * time.Millisecond},
+	}}
+	rep := Run(context.Background(), 1, []Job{job}, Policy{
+		MaxAttempts: 3, Resume: true, AttemptDeadline: time.Second, Hooks: chaos,
+	})
+	r := &rep.Jobs[0]
+	if r.State != StateCompleted || r.Attempts != 2 || r.Resumed < 1 {
+		t.Fatalf("state %v attempts %d resumed %d err %v", r.State, r.Attempts, r.Resumed, r.Err)
+	}
+	if got := recordBytes(t, r); !bytes.Equal(got, want) {
+		t.Error("profile after a deadline retry differs from fault-free run")
+	}
+}
+
+func TestSpentTotalBudgetIsBudget(t *testing.T) {
+	// The stalled first attempt hits the TotalBudget deadline, and no
+	// budget is left to start a second one.
+	job := loopJob(t)
+	job.Run.Quantum = 64
+	chaos := &scriptedChaos{tools: map[[2]int]atom.Tool{
+		{0, 1}: &faultinject.Staller{At: 1500, Sleep: 100 * time.Millisecond},
+	}}
+	rep := Run(context.Background(), 1, []Job{job}, Policy{
+		MaxAttempts: 3, Resume: true, TotalBudget: 30 * time.Millisecond, Hooks: chaos,
+	})
+	r := &rep.Jobs[0]
+	if r.Class != ClassBudget || r.State != StateFailed || r.Attempts != 1 {
+		t.Fatalf("class %v state %v attempts %d, want budget/failed after 1", r.Class, r.State, r.Attempts)
+	}
+	if r.Outcome != vm.OutcomeDeadline || r.Err == nil {
+		t.Errorf("outcome %v err %v, want the deadline", r.Outcome, r.Err)
+	}
+}
+
 func TestAttemptStepsSliceJobAcrossRetries(t *testing.T) {
 	// Per-attempt instruction budget, no global limit: each resumed
 	// attempt advances one slice until the program completes; the
@@ -242,7 +350,7 @@ func TestAttemptStepsSliceJobAcrossRetries(t *testing.T) {
 	want := cleanBaseline(t)
 	chaos := &scriptedChaos{tools: map[[2]int]atom.Tool{}}
 	rep := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{
-		MaxAttempts: 10, Resume: true, AttemptSteps: 2000, Chaos: chaos,
+		MaxAttempts: 10, Resume: true, AttemptSteps: 2000, Hooks: chaos,
 	})
 	r := &rep.Jobs[0]
 	if r.State != StateCompleted {
@@ -324,7 +432,7 @@ func TestMergeUsableMixesSalvagedAndCompleted(t *testing.T) {
 	jobs := []Job{loopJob(t), loopJob(t)}
 	jobs[1].InputName = "again"
 	rep := Run(context.Background(), 1, jobs, Policy{
-		MaxAttempts: 2, SalvagePartial: true, Chaos: chaos,
+		MaxAttempts: 2, SalvagePartial: true, Hooks: chaos,
 	})
 	if rep.Completed != 1 || rep.Salvaged != 1 {
 		t.Fatalf("tallies %+v", rep)
