@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test test-short cover cover-gate bench bench-smoke bench-parallel bench-vm bench-vm-check bench-diff race-bench race-reuse exp exp-quick fmt vet lint clean ci fuzz-smoke difftest chaos-smoke predict-sweep serve-smoke
+.PHONY: all build test test-short cover cover-gate bench bench-smoke bench-parallel bench-vm bench-vm-check bench-diff race-bench race-reuse exp exp-quick fmt vet lint clean ci fuzz-smoke difftest chaos-smoke predict-sweep serve-smoke perfbench-check
 
 # Coverage floors for the packages the correctness argument rests on.
 # Raise them when coverage genuinely improves; lowering one is a
@@ -19,9 +19,9 @@ all: build vet lint test
 # pool-level chaos sweep, the batched-buffer race benchmark, the
 # pooled-reuse chaos smoke, a one-iteration benchmark smoke (every
 # exhibit still regenerates, and the serial-vs-parallel suite
-# comparison still cross-checks), and the VM hot-loop regression gate
+# comparison still cross-checks), the VM hot-loop regression gate
 # (hook-overhead ratio and hooked-run allocation count) against the
-# recorded baseline.
+# recorded baseline, and a build of the repository benchmark.
 ci: vet lint build
 	go test -race ./...
 	$(MAKE) cover-gate
@@ -35,6 +35,7 @@ ci: vet lint build
 	$(MAKE) bench-smoke
 	$(MAKE) bench-parallel
 	$(MAKE) bench-vm-check
+	$(MAKE) perfbench-check
 
 # Repo-specific static checks: the custom vet pass over command code,
 # the analysis package, the worker pool, and the serve daemon (no raw
@@ -146,6 +147,14 @@ bench-vm:
 # baseline with ±10% tolerance.
 bench-vm-check:
 	go run ./cmd/vexp -bench-vm-check BENCH_vm.json
+
+# Build and vet the repository benchmark (perfbench/, its own Go
+# module, so `go build ./...` here never compiles it) and run its
+# short tests, so an API change the benchmark depends on fails here
+# instead of in the next benchmark run.
+perfbench-check:
+	go -C perfbench vet ./...
+	go -C perfbench test -short ./...
 
 # Compare two recorded VM baselines without re-measuring: per-metric
 # and per-op ratio deltas plus the same ±10% gate bench-vm-check

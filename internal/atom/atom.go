@@ -78,9 +78,10 @@ func (ix *Instrumenter) AddProcEntry(p program.Proc, fn vm.Hook) {
 // state.
 func (ix *Instrumenter) AddProgramEnd(fn vm.Hook) { ix.VM.HookEnd(fn) }
 
-// AddStep attaches a per-instruction control routine; returning an
-// error stops the run (see vm.StepFn). Checkpointing and fault
-// injection attach here.
+// AddStep attaches a scheduled control routine: it runs after an
+// instruction and returns the instruction count after which it next
+// wants to run; returning an error stops the run (see vm.StepFn).
+// Checkpointing, progress reporting and fault injection attach here.
 func (ix *Instrumenter) AddStep(fn vm.StepFn) { ix.VM.HookStep(fn) }
 
 // ForEachInst invokes visit for every instruction whose opcode

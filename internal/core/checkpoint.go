@@ -516,22 +516,22 @@ func NewCheckpointer(vp *ValueProfiler, path string, every uint64, programName, 
 
 // Instrument implements atom.Tool.
 func (c *Checkpointer) Instrument(ix *atom.Instrumenter) {
-	ix.AddStep(func(v *vm.VM) error {
+	ix.AddStep(func(v *vm.VM) (uint64, error) {
 		if c.next == 0 {
 			// Lazy arm: on a resumed run InstCount starts at the
 			// checkpoint, so the first snapshot lands one full
 			// interval later rather than immediately.
 			c.next = v.InstCount + c.Every
-			return nil
+			return c.next, nil
 		}
 		if v.InstCount < c.next {
-			return nil
+			return c.next, nil
 		}
 		c.next = v.InstCount + c.Every
 		if err := c.SnapshotNow(v); err != nil {
 			c.lastErr = err
 		}
-		return nil
+		return c.next, nil
 	})
 }
 

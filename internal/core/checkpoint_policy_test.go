@@ -184,11 +184,11 @@ func TestResumeAfterMidWriteCorruption(t *testing.T) {
 			ckpt := NewCheckpointer(vp, path, 1000, "ckpt", "test")
 			killed := errors.New("injected kill")
 			kill := atom.ToolFunc(func(ix *atom.Instrumenter) {
-				ix.AddStep(func(v *vm.VM) error {
+				ix.AddStep(func(v *vm.VM) (uint64, error) {
 					if v.InstCount >= 7000 {
-						return killed
+						return 0, killed
 					}
-					return nil
+					return 7000, nil
 				})
 			})
 			if _, outcome, err := atom.RunControlled(context.Background(), prog,

@@ -99,11 +99,11 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 		ckpt := NewCheckpointer(vp, path, 1000, "ckpt", "test")
 		killed := errors.New("injected kill")
 		kill := atom.ToolFunc(func(ix *atom.Instrumenter) {
-			ix.AddStep(func(v *vm.VM) error {
+			ix.AddStep(func(v *vm.VM) (uint64, error) {
 				if v.InstCount >= killAt {
-					return killed
+					return 0, killed
 				}
-				return nil
+				return killAt, nil
 			})
 		})
 		_, outcome, err := atom.RunControlled(context.Background(), prog,

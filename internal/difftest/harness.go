@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"valueprof/internal/analysis"
 	"valueprof/internal/atom"
@@ -355,12 +356,13 @@ func (h *harness) checkReuse(recFull *core.ProfileRecord, resFull *vm.Result, in
 	}
 }
 
-// checkUnfused re-runs the profiled execution with a no-op step hook
-// attached. Step hooks disable every superinstruction (pairs and
-// three-op fusions alike) but charge nothing, so the unfused run must
-// be observably identical — instruction count, cycles, analysis calls,
-// and the serialized profile. This pins the fused dispatch paths to
-// the plain interpreter's semantics on every corpus program.
+// checkUnfused re-runs the profiled execution with a step routine that
+// never asks to run again. Attaching a routine disables every
+// superinstruction (pairs and three-op fusions alike) but charges
+// nothing, so the unfused run must be observably identical —
+// instruction count, cycles, analysis calls, and the serialized
+// profile. This pins the fused dispatch paths to the plain
+// interpreter's semantics on every corpus program.
 func (h *harness) checkUnfused(recFull *core.ProfileRecord, resFull *vm.Result, input []int64) {
 	const prop = "fused-vs-unfused"
 	if resFull == nil {
@@ -371,7 +373,7 @@ func (h *harness) checkUnfused(recFull *core.ProfileRecord, resFull *vm.Result, 
 		return
 	}
 	noFuse := atom.ToolFunc(func(ix *atom.Instrumenter) {
-		ix.AddStep(func(*vm.VM) error { return nil })
+		ix.AddStep(func(*vm.VM) (uint64, error) { return math.MaxUint64, nil })
 	})
 	res, ok := h.run(prop, input, vp, noFuse)
 	if !ok {

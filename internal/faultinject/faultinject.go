@@ -15,6 +15,8 @@ package faultinject
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 
 	"valueprof/internal/atom"
 	"valueprof/internal/vm"
@@ -83,11 +85,13 @@ type Injector struct {
 	fired  []Injection
 }
 
-// New creates an injector firing the given injections. Injections at
-// the same instruction count fire in argument order (the first one
-// kills the run).
+// New creates an injector firing the given injections, earliest first.
+// Injections at the same instruction count fire in argument order (the
+// first one kills the run).
 func New(injs ...Injection) *Injector {
-	return &Injector{plan: append([]Injection(nil), injs...)}
+	plan := append([]Injection(nil), injs...)
+	sort.SliceStable(plan, func(i, j int) bool { return plan[i].At < plan[j].At })
+	return &Injector{plan: plan}
 }
 
 // NewSeeded derives a single pseudo-random injection from seed: a kill
@@ -129,25 +133,28 @@ func (inj *Injector) Fired() []Injection { return inj.fired }
 
 // Instrument implements atom.Tool.
 func (inj *Injector) Instrument(ix *atom.Instrumenter) {
-	ix.AddStep(func(v *vm.VM) error {
+	ix.AddStep(func(v *vm.VM) (uint64, error) {
 		for len(inj.plan) > 0 && v.InstCount >= inj.plan[0].At {
 			next := inj.plan[0]
 			inj.plan = inj.plan[1:]
 			inj.fired = append(inj.fired, next)
 			switch next.Kind {
 			case KindFault:
-				return &vm.Fault{PC: v.PC, Msg: fmt.Sprintf("injected fault at inst %d", next.At)}
+				return 0, &vm.Fault{PC: v.PC, Msg: fmt.Sprintf("injected fault at inst %d", next.At)}
 			case KindCancel:
 				if inj.cancel != nil {
 					inj.cancel()
 				}
-				return context.Canceled
+				return 0, context.Canceled
 			case KindDeadline:
-				return context.DeadlineExceeded
+				return 0, context.DeadlineExceeded
 			case KindLimit:
-				return &vm.LimitError{Limit: next.At, PC: v.PC}
+				return 0, &vm.LimitError{Limit: next.At, PC: v.PC}
 			}
 		}
-		return nil
+		if len(inj.plan) == 0 {
+			return math.MaxUint64, nil
+		}
+		return inj.plan[0].At, nil
 	})
 }

@@ -66,6 +66,21 @@ func TestInjectionKindsProduceMatchingOutcomes(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderPlanFiresEarliestFirst: New takes injections in any
+// order, and the earliest one kills the run — here the cancel at a
+// quarter of the run, not the fault listed first at half of it.
+func TestOutOfOrderPlanFiresEarliestFirst(t *testing.T) {
+	prog, input, total := loadWorkload(t)
+	inj := New(Injection{At: total / 2, Kind: KindFault}, Injection{At: total / 4, Kind: KindCancel})
+	res, outcome, _ := atom.RunControlled(context.Background(), prog, atom.RunOptions{Input: input}, inj)
+	if outcome != vm.OutcomeCancelled || res.InstCount != total/4 {
+		t.Fatalf("run stopped %v at instruction %d, want cancelled at %d", outcome, res.InstCount, total/4)
+	}
+	if fired := inj.Fired(); len(fired) != 1 || fired[0].Kind != KindCancel {
+		t.Fatalf("fired %v, want the cancel alone", fired)
+	}
+}
+
 func TestSeededInjectionIsDeterministic(t *testing.T) {
 	prog, input, total := loadWorkload(t)
 	for seed := uint64(1); seed <= 5; seed++ {

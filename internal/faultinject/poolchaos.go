@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -29,12 +30,15 @@ type Staller struct {
 
 // Instrument implements atom.Tool.
 func (s *Staller) Instrument(ix *atom.Instrumenter) {
-	ix.AddStep(func(v *vm.VM) error {
+	ix.AddStep(func(v *vm.VM) (uint64, error) {
 		if !s.fired && v.InstCount >= s.At {
 			s.fired = true
 			time.Sleep(s.Sleep)
 		}
-		return nil
+		if s.fired {
+			return math.MaxUint64, nil
+		}
+		return s.At, nil
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"valueprof/internal/asm"
 	"valueprof/internal/core"
 	"valueprof/internal/isa"
+	"valueprof/internal/vm"
 )
 
 // The fairness suite pins the multi-tenant scheduling contract: a
@@ -337,5 +338,78 @@ func TestSalvagePartialKeepsPrefixProfile(t *testing.T) {
 	}
 	if len(rec.Sites) == 0 {
 		t.Error("salvaged record has no profiled sites")
+	}
+}
+
+// TestProgressPulseSchedule pins where progress events land: a sub-run
+// pulses every PulseEvery instructions counted from its first
+// instruction, so event seq reports instCount 1 + seq·PulseEvery, and
+// no pulse falls past the run's last instruction. emit drops events a
+// full subscriber buffer cannot take, so only the pairs received are
+// checked, not their number.
+func TestProgressPulseSchedule(t *testing.T) {
+	const every, count = 1000, 400000
+	prog, err := asm.Assemble(loopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := vm.New(prog)
+	ref.Input = []int64{count}
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	last := (ref.InstCount - 1) / every
+
+	s := newServer(t, Options{Workers: 1, PulseEvery: every})
+	j, _, rerr := s.submit(loopRequest("pulse", count))
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	ch, unsub := j.subscribe()
+	defer unsub()
+	received := 0
+	for ev := range ch {
+		received++
+		if seq := uint64(ev.Seq); ev.InstCount != 1+seq*every || seq > last {
+			t.Errorf("event seq %d at instruction %d, want %d (last seq %d)", ev.Seq, ev.InstCount, 1+seq*every, last)
+		}
+	}
+	if received == 0 {
+		t.Fatal("no progress event received")
+	}
+	if st := waitTerminal(t, s, j.ID); st.State != StateCompleted {
+		t.Fatalf("job: %+v", st)
+	}
+}
+
+// TestCheckpointsWithoutPulses: a sub-run's step routine asks for the
+// earlier of its pulse and checkpoint dues, so with pulses that never
+// come due it still snapshots every CheckpointEvery instructions — the
+// persisted checkpoint moves past the second snapshot while the job
+// runs.
+func TestCheckpointsWithoutPulses(t *testing.T) {
+	const every = 100000
+	dir := t.TempDir()
+	s := newServer(t, Options{Workers: 1, StateDir: dir, PulseEvery: 1 << 40, CheckpointEvery: every})
+	req := loopRequest("ckpt", 3000000)
+	req.Config = JobConfig{MemSize: 1 << 16}
+	j, _, rerr := s.submit(req)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	path := checkpointPath(dir, j.ID)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if ck, err := core.LoadCheckpoint(path); err == nil && ck.InstCount() > 1+every {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the persisted checkpoint never moved past the first snapshot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.cancelJob(j)
+	if st := waitTerminal(t, s, j.ID); st.State != StateCancelled {
+		t.Fatalf("job: %+v", st)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -246,8 +247,9 @@ type subRun struct {
 // attempt: every PulseEvery instructions it emits a ProgressEvent, and
 // when persisting, every CheckpointEvery instructions it snapshots the
 // run (each snapshot copies the guest memory image, so that interval is
-// much coarser). Like core.Checkpointer it arms lazily, so a resumed
-// attempt pulses one full interval after its resume point.
+// much coarser). It asks to run only at the earlier of those two due
+// points. Like core.Checkpointer it arms lazily, so a resumed attempt
+// pulses one full interval after its resume point.
 func (h *subRun) AttemptTool(_, attempt int, vp *core.ValueProfiler) atom.Tool {
 	every, ckEvery := h.s.opts.PulseEvery, h.s.opts.CheckpointEvery
 	var ck *core.Checkpointer
@@ -257,15 +259,18 @@ func (h *subRun) AttemptTool(_, attempt int, vp *core.ValueProfiler) atom.Tool {
 	return atom.ToolFunc(func(ix *atom.Instrumenter) {
 		var next, ckNext uint64
 		resumed := false
-		ix.AddStep(func(v *vm.VM) error {
+		ix.AddStep(func(v *vm.VM) (uint64, error) {
 			if next == 0 {
 				// The first step follows the attempt's first instruction,
 				// so an attempt that restored a checkpoint is already past
 				// instruction 1.
 				resumed = v.InstCount > 1
 				next = v.InstCount + every
-				ckNext = v.InstCount + ckEvery
-				return nil
+				ckNext = math.MaxUint64
+				if ck != nil {
+					ckNext = v.InstCount + ckEvery
+				}
+				return min(next, ckNext), nil
 			}
 			if v.InstCount >= next {
 				next = v.InstCount + every
@@ -284,7 +289,7 @@ func (h *subRun) AttemptTool(_, attempt int, vp *core.ValueProfiler) atom.Tool {
 				// granularity, never the run.
 				ck.SnapshotNow(v)
 			}
-			return nil
+			return min(next, ckNext), nil
 		})
 	})
 }

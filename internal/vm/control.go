@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"valueprof/internal/isa"
@@ -68,29 +69,85 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("vm: step limit %d exceeded at pc %d", e.Limit, e.PC)
 }
 
-// StepFn is a per-instruction control hook, invoked after every
-// executed instruction while attached. Returning a non-nil error stops
-// the run; the error is classified into a RunOutcome (a *Fault behaves
-// like a guest fault, context.Canceled like a cancellation, and so on),
-// which is what the fault-injection harness uses to kill runs at exact
-// instruction counts. Unlike Hook it may observe InstCount already
-// advanced past the instruction just executed.
-type StepFn func(*VM) error
+// StepFn is a scheduled control routine. It runs after an instruction
+// (and after that instruction's hooks) and returns the InstCount after
+// which it next wants to run; the run loop executes every instruction
+// in between without calling it. The first call follows the first
+// instruction executed once the routine is attached, so a routine can
+// arm lazily from the count it first sees (on a restored VM, the
+// restored count + 1). A returned count at or below the current
+// InstCount means "after the next instruction", so a routine wanting
+// every instruction returns InstCount+1; math.MaxUint64 means never.
+//
+// Returning a non-nil error stops the run; the error is classified
+// into a RunOutcome (a *Fault behaves like a guest fault,
+// context.Canceled like a cancellation, and so on), which is what the
+// fault-injection harness uses to kill runs at exact instruction
+// counts. A fault or the step limit arriving before a routine's due
+// point ends the run without calling it; a routine due at the exiting
+// instruction runs once, after it.
+type StepFn func(*VM) (next uint64, err error)
 
-// HookStep attaches a per-instruction control hook. Step hooks are the
-// attachment point for checkpointing and fault injection; they run on
-// every instruction, so they should do a cheap counter compare before
-// any real work. Attaching one disables pair fusion (fused pairs would
-// skip the hook between their two instructions).
+// stepRoutine is an attached StepFn and the InstCount after which it
+// next runs (0 until a run arms it).
+type stepRoutine struct {
+	fn  StepFn
+	due uint64
+}
+
+// HookStep attaches a scheduled control routine (see StepFn).
+// Checkpointing, progress reporting and fault injection attach here.
+// Routines due at the same instruction run in attach order. Attach
+// them before RunControlled: the run loop reads schedules only between
+// blocks, so a routine attached by a hook mid-run may first be called
+// late (or only in the next run), never early. ClearHooks drops
+// routines together with their schedules.
+//
+// Attaching a routine disables fusion. Fused regions would stay exact
+// without this, since one runs only when it fits before the next
+// control point, but the fusion-equivalence tests and difftest's
+// fused-vs-unfused property use a routine as their switch to the
+// unfused path.
 func (v *VM) HookStep(fn StepFn) {
-	v.stepFns = append(v.stepFns, fn)
+	v.steps = append(v.steps, stepRoutine{fn: fn})
 	v.fuseDirty = true
 	for i := range v.fused {
 		v.fused[i] = fuseNone
 	}
 }
 
-// ClassifyError maps an error returned by a step hook (or by the run
+// armSteps schedules routines that have not run yet, or whose due
+// point a Restore moved past, after the next instruction, and returns
+// the earliest due point (math.MaxUint64 with no routines).
+func (v *VM) armSteps() uint64 {
+	due := uint64(math.MaxUint64)
+	for i := range v.steps {
+		s := &v.steps[i]
+		s.due = max(s.due, v.InstCount+1)
+		due = min(due, s.due)
+	}
+	return due
+}
+
+// runSteps calls, in attach order, every routine due at the current
+// InstCount, records when each next wants to run, and returns the
+// earliest due point.
+func (v *VM) runSteps() (uint64, error) {
+	due := uint64(math.MaxUint64)
+	for i := range v.steps {
+		if v.steps[i].due <= v.InstCount {
+			next, err := v.steps[i].fn(v)
+			if err != nil {
+				return 0, err
+			}
+			v.steps[i].due = max(next, v.InstCount+1)
+		}
+		due = min(due, v.steps[i].due)
+	}
+	return due, nil
+}
+
+// ClassifyError maps an error returned by a step routine (or by the run
 // loop itself) onto a RunOutcome.
 func ClassifyError(err error) RunOutcome {
 	if err == nil {
@@ -153,7 +210,7 @@ func (v *VM) RunControlled(ctx context.Context) (RunOutcome, error) {
 // covers op+cmp+branch loop latches, and (op, cond-branch, op) covers
 // cmp+branch+fallthrough chains, retiring the fallthrough instruction
 // in the same dispatch when the branch is not taken. Every kind
-// requires zero hook bits on all covered pcs and no step hooks.
+// requires zero hook bits on all covered pcs and no step routines.
 const (
 	fuseNone uint8 = iota
 	fuseBr         // successor is an unconditional branch
@@ -187,7 +244,7 @@ func (v *VM) refreshFusion() {
 		}
 	}
 	v.fuseDirty = false
-	if len(v.stepFns) > 0 {
+	if len(v.steps) > 0 {
 		return
 	}
 	for pc := 0; pc+1 < len(code); pc++ {
@@ -233,6 +290,11 @@ func (v *VM) refreshFusion() {
 	}
 }
 
+// runLoop executes in blocks. A block ends at the nearest control
+// point: the next quantum check, StepLimit, or the earliest step
+// routine due. Inside a block the per-instruction path tests neither
+// the limit nor the routines; both are handled between blocks, so
+// faults, the step limit and routine calls stay exact.
 func (v *VM) runLoop(ctx context.Context, quantum uint64, deadline time.Time) (RunOutcome, error) {
 	code := v.Prog.Code
 	if v.fused == nil || v.fuseDirty {
@@ -242,6 +304,9 @@ func (v *VM) runLoop(ctx context.Context, quantum uint64, deadline time.Time) (R
 	// the aliases stay valid even if a hook attaches more hooks mid-run.
 	bits := v.hookBits
 	fused := v.fused
+	due := v.armSteps()
+	// The quantum counts down from run start on its own, so a block cut
+	// short by a routine does not move the control checks.
 	var untilCheck uint64 // 0 → perform control checks now
 	for !v.Halted {
 		if untilCheck == 0 {
@@ -257,121 +322,127 @@ func (v *VM) runLoop(ctx context.Context, quantum uint64, deadline time.Time) (R
 		if v.InstCount >= v.StepLimit {
 			return OutcomeLimit, &LimitError{Limit: v.StepLimit, PC: v.PC}
 		}
-		pc := v.PC
-		if pc < 0 || pc >= len(code) {
-			err := v.fault("pc %d out of range", pc)
-			return OutcomeFaulted, err
+		end := v.StepLimit
+		if untilCheck < end-v.InstCount {
+			end = v.InstCount + untilCheck
 		}
-		in := code[pc]
+		end = min(end, due)
+		start := v.InstCount
 
-		// Fused regions: two or three instructions retire in one
-		// dispatch. Straight-line members are non-faulting by
-		// construction (fusibleFirst) so their errors are statically
-		// nil, no covered pc has hooks, and no step hooks are attached.
-		// Falling back to single-step near the step limit keeps
-		// OutcomeLimit exact; the quantum check slides by at most two
-		// instructions.
-		if k := fused[pc]; k != fuseNone {
-			if k <= fuseBne {
-				if untilCheck >= 2 && v.InstCount+2 <= v.StepLimit {
-					untilCheck -= 2
-					in2 := code[pc+1]
+		for v.InstCount < end && !v.Halted {
+			pc := v.PC
+			if pc < 0 || pc >= len(code) {
+				err := v.fault("pc %d out of range", pc)
+				return OutcomeFaulted, err
+			}
+			in := code[pc]
+
+			// Fused regions: two or three instructions retire in one
+			// dispatch. Straight-line members are non-faulting by
+			// construction (fusibleFirst) so their errors are statically
+			// nil, no covered pc has hooks, and no step routines are
+			// attached. A region runs only when it fits in the block,
+			// which keeps the quantum checks and OutcomeLimit exact.
+			if k := fused[pc]; k != fuseNone {
+				left := end - v.InstCount
+				if k <= fuseBne {
+					if left >= 2 {
+						in2 := code[pc+1]
+						handlers[in.Op](v, pc, in)
+						v.InstCount += 2
+						v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles())
+						next := pc + 2
+						switch k {
+						case fuseBr:
+							next = int(in2.Imm)
+						case fuseBeq:
+							if v.Regs[in2.Ra] == 0 {
+								next = int(in2.Imm)
+							}
+						case fuseBne:
+							if v.Regs[in2.Ra] != 0 {
+								next = int(in2.Imm)
+							}
+						}
+						v.PC = next
+						continue
+					}
+				} else if left >= 3 {
+					in2, in3 := code[pc+1], code[pc+2]
 					handlers[in.Op](v, pc, in)
-					v.InstCount += 2
-					v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles())
-					next := pc + 2
-					switch k {
-					case fuseBr:
-						next = int(in2.Imm)
-					case fuseBeq:
-						if v.Regs[in2.Ra] == 0 {
-							next = int(in2.Imm)
+					if k <= fuse3Bne {
+						handlers[in2.Op](v, pc+1, in2)
+						v.InstCount += 3
+						v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles()) + uint64(in3.Op.Cycles())
+						next := pc + 3
+						switch k {
+						case fuse3Br:
+							next = int(in3.Imm)
+						case fuse3Beq:
+							if v.Regs[in3.Ra] == 0 {
+								next = int(in3.Imm)
+							}
+						case fuse3Bne:
+							if v.Regs[in3.Ra] != 0 {
+								next = int(in3.Imm)
+							}
 						}
-					case fuseBne:
-						if v.Regs[in2.Ra] != 0 {
-							next = int(in2.Imm)
-						}
+						v.PC = next
+						continue
 					}
-					v.PC = next
+					taken := v.Regs[in2.Ra] == 0
+					if k == fuseFallBne {
+						taken = v.Regs[in2.Ra] != 0
+					}
+					if taken {
+						v.InstCount += 2
+						v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles())
+						v.PC = int(in2.Imm)
+					} else {
+						// The fallthrough handler advances v.PC to pc+3.
+						handlers[in3.Op](v, pc+2, in3)
+						v.InstCount += 3
+						v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles()) + uint64(in3.Op.Cycles())
+					}
 					continue
 				}
-			} else if untilCheck >= 3 && v.InstCount+3 <= v.StepLimit {
-				in2, in3 := code[pc+1], code[pc+2]
-				handlers[in.Op](v, pc, in)
-				if k <= fuse3Bne {
-					handlers[in2.Op](v, pc+1, in2)
-					untilCheck -= 3
-					v.InstCount += 3
-					v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles()) + uint64(in3.Op.Cycles())
-					next := pc + 3
-					switch k {
-					case fuse3Br:
-						next = int(in3.Imm)
-					case fuse3Beq:
-						if v.Regs[in3.Ra] == 0 {
-							next = int(in3.Imm)
-						}
-					case fuse3Bne:
-						if v.Regs[in3.Ra] != 0 {
-							next = int(in3.Imm)
-						}
-					}
-					v.PC = next
-					continue
+			}
+
+			b := bits[pc]
+			if b&hookBeforeBit != 0 {
+				ev := &v.scratch
+				*ev = Event{VM: v, PC: pc, Inst: in}
+				v.runHooks(v.before[pc], ev)
+			}
+
+			value, addr, err := handlers[in.Op](v, pc, in)
+			if err != nil {
+				return OutcomeFaulted, err
+			}
+			v.InstCount++
+			v.Cycles += uint64(in.Op.Cycles())
+
+			if b&hookBufBit != 0 {
+				// The buffered sink replaces one closure-based after-hook:
+				// same per-value analysis-call count and cycle charge,
+				// delivered to the analysis out of line in batches.
+				v.AnalysisCalls++
+				if v.ChargeHooks {
+					v.Cycles += AnalysisCallCycles
 				}
-				taken := v.Regs[in2.Ra] == 0
-				if k == fuseFallBne {
-					taken = v.Regs[in2.Ra] != 0
-				}
-				if taken {
-					untilCheck -= 2
-					v.InstCount += 2
-					v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles())
-					v.PC = int(in2.Imm)
-				} else {
-					// The fallthrough handler advances v.PC to pc+3.
-					handlers[in3.Op](v, pc+2, in3)
-					untilCheck -= 3
-					v.InstCount += 3
-					v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles()) + uint64(in3.Op.Cycles())
-				}
-				continue
+				v.bufs[pc].push(value)
+			}
+			if b&hookAfterBit != 0 {
+				ev := &v.scratch
+				*ev = Event{VM: v, PC: pc, Inst: in, Value: value, Addr: addr}
+				v.runHooks(v.after[pc], ev)
 			}
 		}
-		untilCheck--
+		untilCheck -= v.InstCount - start
 
-		b := bits[pc]
-		if b&hookBeforeBit != 0 {
-			ev := &v.scratch
-			*ev = Event{VM: v, PC: pc, Inst: in}
-			v.runHooks(v.before[pc], ev)
-		}
-
-		value, addr, err := handlers[in.Op](v, pc, in)
-		if err != nil {
-			return OutcomeFaulted, err
-		}
-		v.InstCount++
-		v.Cycles += uint64(in.Op.Cycles())
-
-		if b&hookBufBit != 0 {
-			// The buffered sink replaces one closure-based after-hook:
-			// same per-value analysis-call count and cycle charge,
-			// delivered to the analysis out of line in batches.
-			v.AnalysisCalls++
-			if v.ChargeHooks {
-				v.Cycles += AnalysisCallCycles
-			}
-			v.bufs[pc].push(value)
-		}
-		if b&hookAfterBit != 0 {
-			ev := &v.scratch
-			*ev = Event{VM: v, PC: pc, Inst: in, Value: value, Addr: addr}
-			v.runHooks(v.after[pc], ev)
-		}
-
-		for _, fn := range v.stepFns {
-			if err := fn(v); err != nil {
+		if v.InstCount >= due {
+			var err error
+			if due, err = v.runSteps(); err != nil {
 				return ClassifyError(err), err
 			}
 		}

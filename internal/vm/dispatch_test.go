@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestFusedLoopMatchesUnfused(t *testing.T) {
 	plain := vm.New(prog)
 	plain.Input = input
 	steps := uint64(0)
-	plain.HookStep(func(v *vm.VM) error { steps++; return nil })
+	plain.HookStep(func(v *vm.VM) (uint64, error) { steps++; return v.InstCount + 1, nil })
 	outcome, err = plain.RunControlled(context.Background())
 	if outcome != vm.OutcomeCompleted {
 		t.Fatalf("unfused run: %v (%v)", outcome, err)
@@ -84,8 +85,9 @@ func TestStepLimitExactMidPair(t *testing.T) {
 	}
 
 	// Odd and even limits, including ones chosen to fall mid-pair in
-	// the steady loop body.
-	for _, limit := range []uint64{1, 2, 7, 100, 101, 1001, full.InstCount - 1} {
+	// the steady loop body: 102 leaves two instructions for a fusible
+	// triple, 155 one for the outer loop's fusible pair.
+	for _, limit := range []uint64{1, 2, 7, 100, 101, 102, 155, 1001, full.InstCount - 1} {
 		v := vm.New(prog)
 		v.Input = input
 		v.StepLimit = limit
@@ -361,7 +363,7 @@ func TestGeneratedFusionEquivalence(t *testing.T) {
 
 		plain := vm.New(prog)
 		plain.Input = input
-		plain.HookStep(func(*vm.VM) error { return nil })
+		plain.HookStep(func(*vm.VM) (uint64, error) { return math.MaxUint64, nil })
 		oc2, err2 := plain.RunControlled(context.Background())
 
 		if oc1 != oc2 || (err1 == nil) != (err2 == nil) {

@@ -85,7 +85,7 @@ type VM struct {
 	before  [][]Hook
 	after   [][]Hook
 	atEnd   []Hook
-	stepFns []StepFn
+	steps   []stepRoutine
 	scratch Event
 
 	// hookBits is the dense per-pc hook summary the run loop consults:
@@ -243,7 +243,7 @@ func (v *VM) ClearHooks() {
 		v.after[i] = nil
 	}
 	v.atEnd = nil
-	v.stepFns = nil
+	v.steps = nil
 	for i := range v.bufs {
 		v.bufs[i] = nil
 	}

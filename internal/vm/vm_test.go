@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -300,6 +302,39 @@ func TestStepLimit(t *testing.T) {
 	err = v.Run()
 	if err == nil || !strings.Contains(err.Error(), "step limit") {
 		t.Errorf("err = %v, want step limit fault", err)
+	}
+}
+
+// TestStepCancelStopsAtQuantumBoundary pins where a cancellation raised
+// by a step routine takes effect: at the next quantum check, counted
+// from run start, so under Quantum 64 a routine that cancels at
+// instruction x stops the run at ⌈x/64⌉·64.
+func TestStepCancelStopsAtQuantumBoundary(t *testing.T) {
+	p, err := asm.Assemble(`
+main:   li t0, 100000
+loop:   addi t0, t0, -1
+        bne t0, loop
+        syscall exit
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ x, want uint64 }{{1, 64}, {64, 64}, {65, 128}, {129, 192}, {1000, 1024}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		v := New(p)
+		v.Quantum = 64
+		v.HookStep(func(v *VM) (uint64, error) {
+			if v.InstCount == c.x {
+				cancel()
+			}
+			return c.x, nil
+		})
+		outcome, err := v.RunControlled(ctx)
+		cancel()
+		if outcome != OutcomeCancelled || !errors.Is(err, context.Canceled) || v.InstCount != c.want {
+			t.Errorf("cancel at %d: outcome %v err %v at instruction %d, want cancelled at %d",
+				c.x, outcome, err, v.InstCount, c.want)
+		}
 	}
 }
 
