@@ -10,6 +10,7 @@ COVER_MIN_PARALLEL  := 85
 COVER_MIN_ANALYSIS  := 80
 COVER_MIN_SERVE     := 80
 COVER_MIN_SUPERVISE := 75
+COVER_MIN_VM        := 88
 
 all: build vet lint test
 
@@ -89,15 +90,16 @@ chaos-smoke:
 # Fail if statement coverage of the correctness-critical packages
 # falls below the recorded floor.
 cover-gate:
-	@out=$$(go test -cover ./internal/core ./internal/parallel ./internal/analysis ./internal/serve ./internal/supervise) || { echo "$$out"; exit 1; }; \
+	@out=$$(go test -cover ./internal/core ./internal/parallel ./internal/analysis ./internal/serve ./internal/supervise ./internal/vm) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | awk -v core=$(COVER_MIN_CORE) -v par=$(COVER_MIN_PARALLEL) -v ana=$(COVER_MIN_ANALYSIS) -v srv=$(COVER_MIN_SERVE) -v sup=$(COVER_MIN_SUPERVISE) ' \
+	echo "$$out" | awk -v core=$(COVER_MIN_CORE) -v par=$(COVER_MIN_PARALLEL) -v ana=$(COVER_MIN_ANALYSIS) -v srv=$(COVER_MIN_SERVE) -v sup=$(COVER_MIN_SUPERVISE) -v vm=$(COVER_MIN_VM) ' \
 		/valueprof\/internal\/core/     { seen++; if ($$5+0 < core) { printf "cover-gate: internal/core %s < %d%%\n", $$5, core; bad=1 } } \
 		/valueprof\/internal\/parallel/ { seen++; if ($$5+0 < par)  { printf "cover-gate: internal/parallel %s < %d%%\n", $$5, par; bad=1 } } \
 		/valueprof\/internal\/analysis/ { seen++; if ($$5+0 < ana)  { printf "cover-gate: internal/analysis %s < %d%%\n", $$5, ana; bad=1 } } \
 		/valueprof\/internal\/serve/    { seen++; if ($$5+0 < srv)  { printf "cover-gate: internal/serve %s < %d%%\n", $$5, srv; bad=1 } } \
 		/valueprof\/internal\/supervise/ { seen++; if ($$5+0 < sup) { printf "cover-gate: internal/supervise %s < %d%%\n", $$5, sup; bad=1 } } \
-		END { if (seen != 5) { print "cover-gate: expected 5 coverage lines, saw " seen; bad=1 }; exit bad }'
+		/valueprof\/internal\/vm/      { seen++; if ($$5+0 < vm)   { printf "cover-gate: internal/vm %s < %d%%\n", $$5, vm; bad=1 } } \
+		END { if (seen != 6) { print "cover-gate: expected 6 coverage lines, saw " seen; bad=1 }; exit bad }'
 
 # The daemon acceptance suite under the race detector: golden endpoint
 # contracts, seeded restart-survival chaos, fairness/starvation bounds,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"valueprof/internal/analysis"
 	"valueprof/internal/atom"
@@ -155,7 +154,6 @@ func Check(prog *program.Program, name string, input, input2 []int64, opts Optio
 	h.checkSteadyTNV(ref, input)
 	if recFull != nil {
 		h.checkReuse(recFull, resFull, input, input2)
-		h.checkUnfused(recFull, resFull, input)
 		h.checkResume(recFull, input)
 		cn := analysis.AnalyzeConstness(prog)
 		h.checkPrune(cn, recFull, input)
@@ -353,37 +351,6 @@ func (h *harness) checkReuse(recFull *core.ProfileRecord, resFull *vm.Result, in
 	}
 	if a, b := mustJSON(recFull), mustJSON(vp.Profile().Record(h.name, "in0")); a != b {
 		h.fail(prop, -1, "reused profile differs from fresh run:\n got %s\nwant %s", b, a)
-	}
-}
-
-// checkUnfused re-runs the profiled execution with a step routine that
-// never asks to run again. Attaching a routine disables every
-// superinstruction (pairs and three-op fusions alike) but charges
-// nothing, so the unfused run must be observably identical —
-// instruction count, cycles, analysis calls, and the serialized
-// profile. This pins the fused dispatch paths to the plain
-// interpreter's semantics on every corpus program.
-func (h *harness) checkUnfused(recFull *core.ProfileRecord, resFull *vm.Result, input []int64) {
-	const prop = "fused-vs-unfused"
-	if resFull == nil {
-		return
-	}
-	vp := h.profiler(prop, core.Options{TNV: h.opts.TNV, TrackFull: true})
-	if vp == nil {
-		return
-	}
-	noFuse := atom.ToolFunc(func(ix *atom.Instrumenter) {
-		ix.AddStep(func(*vm.VM) (uint64, error) { return math.MaxUint64, nil })
-	})
-	res, ok := h.run(prop, input, vp, noFuse)
-	if !ok {
-		return
-	}
-	if d := execDiff(res, resFull); d != "" {
-		h.fail(prop, -1, "unfused execution differs from fused: %s", d)
-	}
-	if a, b := mustJSON(recFull), mustJSON(vp.Profile().Record(h.name, "in0")); a != b {
-		h.fail(prop, -1, "unfused profile differs from fused run:\n got %s\nwant %s", b, a)
 	}
 }
 

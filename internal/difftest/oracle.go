@@ -50,16 +50,6 @@ func (r *RefProfiler) Instrument(ix *atom.Instrumenter) {
 	})
 }
 
-// PCs returns the executed site pcs in ascending order.
-func (r *RefProfiler) PCs() []int {
-	pcs := make([]int, 0, len(r.Seqs))
-	for pc := range r.Seqs {
-		pcs = append(pcs, pc)
-	}
-	sort.Ints(pcs)
-	return pcs
-}
-
 // ---- straight-line metrics over a value sequence ----
 
 // RefCounts returns the exact value→count map of a sequence.

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Word is the fixed-width binary encoding of one instruction:
 //
@@ -42,39 +39,4 @@ func Decode(w Word) (Inst, error) {
 		Rb:  uint8(w>>24) & 0x1f,
 		Imm: int32(uint32(w >> 32)),
 	}, nil
-}
-
-// AppendWord appends the little-endian bytes of w to b.
-func AppendWord(b []byte, w Word) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(w))
-}
-
-// WordAt reads a little-endian word from b.
-func WordAt(b []byte) Word {
-	return Word(binary.LittleEndian.Uint64(b))
-}
-
-// EncodeProgram serializes a code segment.
-func EncodeProgram(code []Inst) []byte {
-	out := make([]byte, 0, 8*len(code))
-	for _, in := range code {
-		out = AppendWord(out, in.Encode())
-	}
-	return out
-}
-
-// DecodeProgram deserializes a code segment produced by EncodeProgram.
-func DecodeProgram(b []byte) ([]Inst, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("isa: program image length %d is not a multiple of 8", len(b))
-	}
-	code := make([]Inst, 0, len(b)/8)
-	for off := 0; off < len(b); off += 8 {
-		in, err := Decode(WordAt(b[off:]))
-		if err != nil {
-			return nil, fmt.Errorf("isa: at instruction %d: %w", off/8, err)
-		}
-		code = append(code, in)
-	}
-	return code, nil
 }

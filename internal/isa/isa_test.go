@@ -126,36 +126,6 @@ func TestDecodeRejectsInvalidOpcode(t *testing.T) {
 	}
 }
 
-func TestProgramImageRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	code := make([]Inst, 257)
-	for i := range code {
-		code[i] = randInst(r)
-	}
-	img := EncodeProgram(code)
-	if len(img) != 8*len(code) {
-		t.Fatalf("image size %d, want %d", len(img), 8*len(code))
-	}
-	back, err := DecodeProgram(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(code) {
-		t.Fatalf("decoded %d instructions, want %d", len(back), len(code))
-	}
-	for i := range code {
-		if back[i] != code[i] {
-			t.Fatalf("instruction %d: got %+v want %+v", i, back[i], code[i])
-		}
-	}
-}
-
-func TestDecodeProgramBadLength(t *testing.T) {
-	if _, err := DecodeProgram(make([]byte, 9)); err == nil {
-		t.Error("DecodeProgram accepted a truncated image")
-	}
-}
-
 func TestRegNames(t *testing.T) {
 	for _, c := range []struct {
 		r    uint8

@@ -1,6 +1,6 @@
 // Arena: sync.Pool-backed reuse of per-job execution state. An N-job
 // cross-product used to allocate a fresh VM (8 MiB memory image,
-// hook-bit/fusion/buffer tables) and a fresh profiler (site maps,
+// hook-bit/buffer tables) and a fresh profiler (site maps,
 // value buffers) per job; the arena recycles both through the explicit
 // ResetFor lifecycles of vm.VM and core.ValueProfiler, so steady-state
 // pool throughput stops paying the allocator. Reused instances are

@@ -96,7 +96,6 @@ func (v *VM) HookAfterBuffered(pc int, b *ValueBuffer) {
 	}
 	v.bufs[pc] = b
 	v.hookBits[pc] |= hookBufBit
-	v.unfuse(pc)
 }
 
 // growClear returns a zeroed slice of length n, reusing s's backing

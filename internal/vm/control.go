@@ -102,18 +102,8 @@ type stepRoutine struct {
 // blocks, so a routine attached by a hook mid-run may first be called
 // late (or only in the next run), never early. ClearHooks drops
 // routines together with their schedules.
-//
-// Attaching a routine disables fusion. Fused regions would stay exact
-// without this, since one runs only when it fits before the next
-// control point, but the fusion-equivalence tests and difftest's
-// fused-vs-unfused property use a routine as their switch to the
-// unfused path.
 func (v *VM) HookStep(fn StepFn) {
 	v.steps = append(v.steps, stepRoutine{fn: fn})
-	v.fuseDirty = true
-	for i := range v.fused {
-		v.fused[i] = fuseNone
-	}
 }
 
 // armSteps schedules routines that have not run yet, or whose due
@@ -202,94 +192,6 @@ func (v *VM) RunControlled(ctx context.Context) (RunOutcome, error) {
 	return outcome, err
 }
 
-// Fusion kinds, per pc: how the instruction at pc and its successors
-// execute as one dispatch. Pairs fuse a straight-line op with the
-// branch that follows it — the shape dominating interpreter time in
-// loop-heavy code (compare/add feeding the latch branch). Three-op
-// superinstructions extend that one step further: (op, op, branch)
-// covers op+cmp+branch loop latches, and (op, cond-branch, op) covers
-// cmp+branch+fallthrough chains, retiring the fallthrough instruction
-// in the same dispatch when the branch is not taken. Every kind
-// requires zero hook bits on all covered pcs and no step routines.
-const (
-	fuseNone uint8 = iota
-	fuseBr         // successor is an unconditional branch
-	fuseBeq        // successor branches if its Ra == 0
-	fuseBne        // successor branches if its Ra != 0
-	// Three-op kinds: two straight-line ops feeding the branch at pc+2.
-	// Always retire three instructions.
-	fuse3Br
-	fuse3Beq
-	fuse3Bne
-	// Fallthrough kinds: straight-line op, conditional branch at pc+1,
-	// straight-line op at pc+2. Retire two instructions when the branch
-	// is taken, three when it falls through.
-	fuseFallBeq
-	fuseFallBne
-)
-
-// refreshFusion recomputes the fused-region cache from the current
-// code and hook state. Called lazily at run start when hooks changed.
-// Three-op kinds are preferred over pairs at the same pc; overlapping
-// entries are fine because the cache is only consulted at the entry pc
-// actually reached.
-func (v *VM) refreshFusion() {
-	v.ensureHookState()
-	code := v.Prog.Code
-	if len(v.fused) != len(code) {
-		v.fused = growClear(v.fused, len(code))
-	} else {
-		for i := range v.fused {
-			v.fused[i] = fuseNone
-		}
-	}
-	v.fuseDirty = false
-	if len(v.steps) > 0 {
-		return
-	}
-	for pc := 0; pc+1 < len(code); pc++ {
-		if v.hookBits[pc] != 0 || !fusibleFirst[code[pc].Op] {
-			continue
-		}
-		if pc+2 < len(code) && v.hookBits[pc+1] == 0 && v.hookBits[pc+2] == 0 {
-			if fusibleFirst[code[pc+1].Op] {
-				switch code[pc+2].Op {
-				case isa.OpBr:
-					v.fused[pc] = fuse3Br
-					continue
-				case isa.OpBeq:
-					v.fused[pc] = fuse3Beq
-					continue
-				case isa.OpBne:
-					v.fused[pc] = fuse3Bne
-					continue
-				}
-			}
-			if fusibleFirst[code[pc+2].Op] {
-				switch code[pc+1].Op {
-				case isa.OpBeq:
-					v.fused[pc] = fuseFallBeq
-					continue
-				case isa.OpBne:
-					v.fused[pc] = fuseFallBne
-					continue
-				}
-			}
-		}
-		if v.hookBits[pc+1] != 0 {
-			continue
-		}
-		switch code[pc+1].Op {
-		case isa.OpBr:
-			v.fused[pc] = fuseBr
-		case isa.OpBeq:
-			v.fused[pc] = fuseBeq
-		case isa.OpBne:
-			v.fused[pc] = fuseBne
-		}
-	}
-}
-
 // runLoop executes in blocks. A block ends at the nearest control
 // point: the next quantum check, StepLimit, or the earliest step
 // routine due. Inside a block the per-instruction path tests neither
@@ -297,13 +199,9 @@ func (v *VM) refreshFusion() {
 // faults, the step limit and routine calls stay exact.
 func (v *VM) runLoop(ctx context.Context, quantum uint64, deadline time.Time) (RunOutcome, error) {
 	code := v.Prog.Code
-	if v.fused == nil || v.fuseDirty {
-		v.refreshFusion()
-	}
-	// Hook attachment mutates these arrays in place (see unfuse), so
-	// the aliases stay valid even if a hook attaches more hooks mid-run.
+	// Hook attachment sets bits in this array in place, so the alias
+	// stays valid even if a hook attaches more hooks mid-run.
 	bits := v.hookBits
-	fused := v.fused
 	due := v.armSteps()
 	// The quantum counts down from run start on its own, so a block cut
 	// short by a routine does not move the control checks.
@@ -336,77 +234,6 @@ func (v *VM) runLoop(ctx context.Context, quantum uint64, deadline time.Time) (R
 				return OutcomeFaulted, err
 			}
 			in := code[pc]
-
-			// Fused regions: two or three instructions retire in one
-			// dispatch. Straight-line members are non-faulting by
-			// construction (fusibleFirst) so their errors are statically
-			// nil, no covered pc has hooks, and no step routines are
-			// attached. A region runs only when it fits in the block,
-			// which keeps the quantum checks and OutcomeLimit exact.
-			if k := fused[pc]; k != fuseNone {
-				left := end - v.InstCount
-				if k <= fuseBne {
-					if left >= 2 {
-						in2 := code[pc+1]
-						handlers[in.Op](v, pc, in)
-						v.InstCount += 2
-						v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles())
-						next := pc + 2
-						switch k {
-						case fuseBr:
-							next = int(in2.Imm)
-						case fuseBeq:
-							if v.Regs[in2.Ra] == 0 {
-								next = int(in2.Imm)
-							}
-						case fuseBne:
-							if v.Regs[in2.Ra] != 0 {
-								next = int(in2.Imm)
-							}
-						}
-						v.PC = next
-						continue
-					}
-				} else if left >= 3 {
-					in2, in3 := code[pc+1], code[pc+2]
-					handlers[in.Op](v, pc, in)
-					if k <= fuse3Bne {
-						handlers[in2.Op](v, pc+1, in2)
-						v.InstCount += 3
-						v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles()) + uint64(in3.Op.Cycles())
-						next := pc + 3
-						switch k {
-						case fuse3Br:
-							next = int(in3.Imm)
-						case fuse3Beq:
-							if v.Regs[in3.Ra] == 0 {
-								next = int(in3.Imm)
-							}
-						case fuse3Bne:
-							if v.Regs[in3.Ra] != 0 {
-								next = int(in3.Imm)
-							}
-						}
-						v.PC = next
-						continue
-					}
-					taken := v.Regs[in2.Ra] == 0
-					if k == fuseFallBne {
-						taken = v.Regs[in2.Ra] != 0
-					}
-					if taken {
-						v.InstCount += 2
-						v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles())
-						v.PC = int(in2.Imm)
-					} else {
-						// The fallthrough handler advances v.PC to pc+3.
-						handlers[in3.Op](v, pc+2, in3)
-						v.InstCount += 3
-						v.Cycles += uint64(in.Op.Cycles()) + uint64(in2.Op.Cycles()) + uint64(in3.Op.Cycles())
-					}
-					continue
-				}
-			}
 
 			b := bits[pc]
 			if b&hookBeforeBit != 0 {

@@ -5,9 +5,8 @@ import "valueprof/internal/isa"
 // This file replaces the interpreter's per-instruction switch with a
 // precomputed handler table. The switch compiled to a jump through a
 // dense range check plus per-case prologue; the table turns dispatch
-// into one indexed load and an indirect call, and — more importantly —
-// gives the run loop named, reusable instruction semantics that the
-// fused fast path (control.go) can call without duplicating them.
+// into one indexed load and an indirect call, with each opcode's
+// semantics in a named handler of its own.
 
 // stepHandler executes one instruction. On success it advances (or
 // redirects) v.PC and returns the result value for after-hooks plus
@@ -20,12 +19,6 @@ type stepHandler func(v *VM, pc int, in isa.Inst) (value int64, addr uint64, err
 // opcode mean the dispatching load needs no bounds check; slots beyond
 // the defined opcodes fault exactly like the old switch's default arm.
 var handlers [256]stepHandler
-
-// fusibleFirst marks opcodes that can be the first half of a fused
-// (op, branch) pair: straight-line, non-faulting, and always advancing
-// to pc+1. Div/Rem (fault on zero), memory ops (fault on bad address),
-// control flow, and syscalls stay out.
-var fusibleFirst [256]bool
 
 func init() {
 	for i := range handlers {
@@ -74,16 +67,6 @@ func init() {
 	handlers[isa.OpJmp] = stepJmp
 	handlers[isa.OpRet] = stepRet
 	handlers[isa.OpSyscall] = stepSyscall
-
-	for _, op := range []isa.Op{
-		isa.OpNop, isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpAddi, isa.OpMuli,
-		isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpSll, isa.OpSrl, isa.OpSra, isa.OpSlli, isa.OpSrli, isa.OpSrai,
-		isa.OpCmpeq, isa.OpCmpne, isa.OpCmplt, isa.OpCmple,
-		isa.OpCmpgt, isa.OpCmpge, isa.OpCmplti, isa.OpCmpeqi,
-	} {
-		fusibleFirst[op] = true
-	}
 }
 
 func stepBadOp(v *VM, _ int, in isa.Inst) (int64, uint64, error) {

@@ -2,7 +2,6 @@ package vm_test
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 
@@ -11,9 +10,10 @@ import (
 	"valueprof/internal/vm"
 )
 
-// fuseSrc is a tight counting loop whose body ends in fusible
-// (addi, bne) pairs, so the fused dispatch path dominates execution.
-const fuseSrc = `
+// nestedLoopSrc is a tight counting loop: an inner body of (add, addi, bne)
+// nested in an outer loop ending in (addi, bne), so the loop latches
+// dominate execution.
+const nestedLoopSrc = `
 main:   syscall getint
         add t5, v0, zero
         li a0, 0
@@ -27,66 +27,29 @@ inner:  add a0, a0, t0
         syscall exit
 `
 
-func assembleFuse(t *testing.T) *program.Program {
+func assembleNestedLoop(t *testing.T) *program.Program {
 	t.Helper()
-	p, err := asm.Assemble(fuseSrc)
+	p, err := asm.Assemble(nestedLoopSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-// TestFusedLoopMatchesUnfused pins the tentpole invariant: the fused
-// pair fast path must be observably identical — output, instruction
-// count, cycle count — to the same program forced down the one-at-a-
-// time path. A HookStep disables fusion entirely, and charges nothing,
-// so the two runs are directly comparable.
-func TestFusedLoopMatchesUnfused(t *testing.T) {
-	prog := assembleFuse(t)
-	input := []int64{40}
-
-	fused := vm.New(prog)
-	fused.Input = input
-	outcome, err := fused.RunControlled(context.Background())
-	if outcome != vm.OutcomeCompleted {
-		t.Fatalf("fused run: %v (%v)", outcome, err)
-	}
-
-	plain := vm.New(prog)
-	plain.Input = input
-	steps := uint64(0)
-	plain.HookStep(func(v *vm.VM) (uint64, error) { steps++; return v.InstCount + 1, nil })
-	outcome, err = plain.RunControlled(context.Background())
-	if outcome != vm.OutcomeCompleted {
-		t.Fatalf("unfused run: %v (%v)", outcome, err)
-	}
-
-	got, want := vm.ResultOf(fused, vm.OutcomeCompleted), vm.ResultOf(plain, vm.OutcomeCompleted)
-	if *got != *want {
-		t.Fatalf("fused run differs from unfused:\n fused: %+v\nplain: %+v", got, want)
-	}
-	if steps != plain.InstCount {
-		t.Fatalf("step hook fired %d times over %d instructions", steps, plain.InstCount)
-	}
-	if !reflect.DeepEqual(fused.Regs, plain.Regs) {
-		t.Fatal("register files diverged")
-	}
-}
-
-// TestStepLimitExactMidPair: a step limit landing between the two
-// halves of a fusible pair must still stop at exactly StepLimit
-// instructions — the fast path may only fire when both fit.
+// TestStepLimitExactMidPair: a step limit landing anywhere in the loop
+// body, including between an op and the branch it feeds, must stop at
+// exactly StepLimit instructions.
 func TestStepLimitExactMidPair(t *testing.T) {
-	prog := assembleFuse(t)
+	prog := assembleNestedLoop(t)
 	input := []int64{40}
 	full, err := vm.Execute(prog, input)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Odd and even limits, including ones chosen to fall mid-pair in
-	// the steady loop body: 102 leaves two instructions for a fusible
-	// triple, 155 one for the outer loop's fusible pair.
+	// Odd and even limits, including ones chosen to fall mid-latch in
+	// the steady loop body: 102 stops two instructions into the inner
+	// (add, addi, bne), 155 one into the outer loop's (addi, bne).
 	for _, limit := range []uint64{1, 2, 7, 100, 101, 102, 155, 1001, full.InstCount - 1} {
 		v := vm.New(prog)
 		v.Input = input
@@ -100,7 +63,7 @@ func TestStepLimitExactMidPair(t *testing.T) {
 		}
 
 		// Resuming from the snapshot must converge on the uninterrupted
-		// run even when the cut fell inside what fusion would pair up.
+		// run even when the cut fell between an op and its branch.
 		v2 := vm.New(prog)
 		v2.Input = input
 		if err := v2.Restore(v.Snapshot()); err != nil {
@@ -116,11 +79,11 @@ func TestStepLimitExactMidPair(t *testing.T) {
 	}
 }
 
-// TestHookDisablesFusionAtSite: hooking a pc inside a fused pair must
-// break that pair (the hook fires on every execution) while leaving
-// observables identical to the unhooked run.
+// TestHookDisablesFusionAtSite: a hook at any pc must fire on every
+// execution of that pc while leaving observables identical to the
+// unhooked run.
 func TestHookDisablesFusionAtSite(t *testing.T) {
-	prog := assembleFuse(t)
+	prog := assembleNestedLoop(t)
 	input := []int64{5}
 	base, err := vm.Execute(prog, input)
 	if err != nil {
@@ -152,12 +115,12 @@ func TestHookDisablesFusionAtSite(t *testing.T) {
 	}
 }
 
-// TestMidRunHookAttach attaches an after-hook to a fused-pair pc from
-// inside another hook, partway through the run: fusion state must be
-// repaired in place so the new hook sees every later execution.
+// TestMidRunHookAttach attaches an after-hook to a loop-latch pc from
+// inside another hook, partway through the run: the attach must take
+// effect in place so the new hook sees every later execution.
 func TestMidRunHookAttach(t *testing.T) {
-	prog := assembleFuse(t)
-	// pc 5 is "addi t0, t0, -1", first half of the inner fused pair;
+	prog := assembleNestedLoop(t)
+	// pc 5 is "addi t0, t0, -1", feeding the inner loop's bne;
 	// pc 3 is "li t0, 50", executed once per outer iteration.
 	input := []int64{4}
 
@@ -189,7 +152,7 @@ func TestValueBuffer(t *testing.T) {
 		got = append(got, vals...)
 	})
 
-	v := vm.New(assembleFuse(t))
+	v := vm.New(assembleNestedLoop(t))
 	v.HookAfterBuffered(4, b)
 	v.Input = []int64{3}
 	// Drive pushes through the VM itself: pc 4 is the add in the inner
@@ -268,13 +231,12 @@ loop:   addi t5, t5, -1
 }
 
 // TestMidRunBufferedAttachOnFusedTriple attaches a buffered sink to
-// the middle instruction of a live three-op superinstruction (add,
-// addi, bne — the steady inner-loop triple) from inside another hook,
-// partway through the run. unfuse must tear the whole fused region
-// down in place, so the late sink sees every subsequent execution of
-// its pc with the exact value stream.
+// the middle instruction of the steady inner-loop latch (add, addi,
+// bne) from inside another hook, partway through the run. The attach
+// must take effect in place, so the late sink sees every subsequent
+// execution of its pc with the exact value stream.
 func TestMidRunBufferedAttachOnFusedTriple(t *testing.T) {
-	prog := assembleFuse(t)
+	prog := assembleNestedLoop(t)
 	input := []int64{4}
 
 	var late []int64
@@ -285,8 +247,8 @@ func TestMidRunBufferedAttachOnFusedTriple(t *testing.T) {
 	v.HookAfter(3, func(ev *vm.Event) {
 		outer++
 		if outer == 3 {
-			// pc 5 is "addi t0, t0, -1", second op of the fused
-			// (pc4, pc5, pc6) triple.
+			// pc 5 is "addi t0, t0, -1", second op of the
+			// (pc4, pc5, pc6) latch.
 			ev.VM.HookAfterBuffered(5, buf)
 		}
 	})
@@ -312,7 +274,7 @@ func TestMidRunBufferedAttachOnFusedTriple(t *testing.T) {
 // the same value stream and charge the same accounting as an
 // equivalent closure hook.
 func TestBufferedHookMatchesClosureHook(t *testing.T) {
-	prog := assembleFuse(t)
+	prog := assembleNestedLoop(t)
 	input := []int64{7}
 	pc := 4 // inner-loop add
 
@@ -343,38 +305,5 @@ func TestBufferedHookMatchesClosureHook(t *testing.T) {
 	rb := vm.ResultOf(buffered, vm.OutcomeCompleted)
 	if *ra != *rb {
 		t.Fatalf("accounting differs:\nclosure: %+v\nbuffered: %+v", ra, rb)
-	}
-}
-
-// TestGeneratedFusionEquivalence sweeps generated programs with and
-// without a fusion-disabling step hook; every observable must agree.
-// This is the property-level proof that pair fusion is invisible.
-func TestGeneratedFusionEquivalence(t *testing.T) {
-	seeds := 20
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := uint64(100); seed < uint64(100+seeds); seed++ {
-		prog, input := buildGenerated(t, seed)
-
-		fused := vm.New(prog)
-		fused.Input = input
-		oc1, err1 := fused.RunControlled(context.Background())
-
-		plain := vm.New(prog)
-		plain.Input = input
-		plain.HookStep(func(*vm.VM) (uint64, error) { return math.MaxUint64, nil })
-		oc2, err2 := plain.RunControlled(context.Background())
-
-		if oc1 != oc2 || (err1 == nil) != (err2 == nil) {
-			t.Fatalf("seed %d: outcomes differ: %v/%v vs %v/%v", seed, oc1, err1, oc2, err2)
-		}
-		got, want := vm.ResultOf(fused, oc1), vm.ResultOf(plain, oc2)
-		if *got != *want {
-			t.Fatalf("seed %d: fused differs from unfused:\n fused: %+v\nplain: %+v", seed, got, want)
-		}
-		if !reflect.DeepEqual(fused.Regs, plain.Regs) {
-			t.Fatalf("seed %d: register files diverged", seed)
-		}
 	}
 }

@@ -95,11 +95,6 @@ type VM struct {
 	hookBits []uint8
 	// bufs holds the per-pc buffered after-sinks (HookAfterBuffered).
 	bufs []*ValueBuffer
-	// fused caches, per pc, whether this instruction and its successor
-	// execute as one fused (op, branch) pair; rebuilt lazily when
-	// fuseDirty is set. See refreshFusion.
-	fused     []uint8
-	fuseDirty bool
 }
 
 // Bits in hookBits.
@@ -131,27 +126,6 @@ func (v *VM) ensureHookState() {
 	}
 }
 
-// unfuse invalidates any fused region that includes pc, so a hook
-// attached mid-run takes effect immediately, and schedules a full
-// fusion recompute for the next run (newly hookless pcs re-fuse then).
-// Three-op superinstructions start up to two pcs back, so both
-// predecessors are cleared.
-func (v *VM) unfuse(pc int) {
-	v.fuseDirty = true
-	if pc >= len(v.fused) {
-		// Stale table from a previous (shorter) program on a reused VM;
-		// fuseDirty already forces a full rebuild before the next run.
-		return
-	}
-	v.fused[pc] = fuseNone
-	if pc > 0 {
-		v.fused[pc-1] = fuseNone
-	}
-	if pc > 1 {
-		v.fused[pc-2] = fuseNone
-	}
-}
-
 // Reset rewinds the VM to the program's initial state, preserving
 // attached hooks and the Input queue.
 func (v *VM) Reset() {
@@ -177,7 +151,7 @@ func (v *VM) Reset() {
 
 // ResetFor rewinds a VM for reuse on a (possibly different) program,
 // leaving it in the same observable state NewSized(prog, memSize)
-// would, while reusing the memory image and the hook-bit, fusion, and
+// would, while reusing the memory image and the hook-bit and
 // buffer-table allocations. Unlike Reset, all instrumentation is
 // removed and the run-control knobs (StepLimit, Deadline, Quantum,
 // ChargeHooks, Input) return to their defaults; callers re-instrument
@@ -213,7 +187,6 @@ func (v *VM) HookBefore(pc int, fn Hook) {
 	}
 	v.before[pc] = append(v.before[pc], fn)
 	v.hookBits[pc] |= hookBeforeBit
-	v.unfuse(pc)
 }
 
 // HookAfter attaches fn to run after each execution of instruction pc,
@@ -226,7 +199,6 @@ func (v *VM) HookAfter(pc int, fn Hook) {
 	}
 	v.after[pc] = append(v.after[pc], fn)
 	v.hookBits[pc] |= hookAfterBit
-	v.unfuse(pc)
 }
 
 // HookEnd attaches fn to run when the program exits.
@@ -250,10 +222,6 @@ func (v *VM) ClearHooks() {
 	for i := range v.hookBits {
 		v.hookBits[i] = 0
 	}
-	for i := range v.fused {
-		v.fused[i] = fuseNone
-	}
-	v.fuseDirty = true
 }
 
 // growClearHooks is growClear for per-pc hook tables.
@@ -278,8 +246,11 @@ func (v *VM) setReg(r uint8, val int64) {
 	}
 }
 
+// checkAddr never forms addr+size: that sum wraps for addresses within
+// size bytes of 2^64 and would pass the bound check.
 func (v *VM) checkAddr(addr uint64, size int) error {
-	if addr < minValidAddr || addr+uint64(size) > uint64(len(v.Mem)) {
+	mem := uint64(len(v.Mem))
+	if addr < minValidAddr || addr > mem || mem-addr < uint64(size) {
 		return v.fault("memory access at %#x size %d out of range", addr, size)
 	}
 	return nil
@@ -334,16 +305,6 @@ func (v *VM) runHooks(hooks []Hook, ev *Event) {
 func (v *VM) Run() error {
 	_, err := v.RunControlled(context.Background())
 	return err
-}
-
-// step executes one instruction, returning the result value (for
-// after-hooks) and effective address for memory operations. v.PC is
-// advanced (or redirected) and v.Halted set on exit. The semantics
-// live in the per-opcode handler table (dispatch.go); the run loop
-// dispatches through the table directly and this wrapper exists for
-// tests and single-step callers.
-func (v *VM) step(pc int, in isa.Inst) (value int64, addr uint64, err error) {
-	return handlers[in.Op](v, pc, in)
 }
 
 func (v *VM) syscall(code int32) (int64, error) {

@@ -276,6 +276,11 @@ func TestFaults(t *testing.T) {
 		{"rem by zero", "main: li t0, 1\n li t1, 0\n rem t2, t0, t1\n syscall exit", "remainder by zero"},
 		{"null load", "main: ldq t0, 0(zero)\n syscall exit", "out of range"},
 		{"huge address", "main: li t0, 0x7fffffff\n slli t0, t0, 8\n ldq t1, 0(t0)\n syscall exit", "out of range"},
+		// Addresses within the access size of 2^64: addr+size wraps.
+		{"load wraps -4", "main: ldq t1, -4(zero)\n syscall exit", "out of range"},
+		{"load wraps -8", "main: ldq t1, -8(zero)\n syscall exit", "out of range"},
+		{"byte load at 2^64-1", "main: li t0, -1\n ldbu t1, 0(t0)\n syscall exit", "out of range"},
+		{"store wraps -2", "main: stl t1, -2(zero)\n syscall exit", "out of range"},
 		{"bad syscall", "main: syscall 99\n syscall exit", "unknown syscall"},
 		{"runs off end", "main: nop", "pc 1 out of range"},
 	}

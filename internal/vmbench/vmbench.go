@@ -1,8 +1,8 @@
 // Package vmbench measures the interpreter hot path: per-opcode
-// dispatch microbenchmarks, the unhooked loop (fusion active), and the
-// same loop under full-time profiling through the batched value
-// buffers. The recorded report (BENCH_vm.json) is the repo's VM
-// performance baseline; `Compare` gates regressions in `make ci`.
+// dispatch microbenchmarks, the unhooked loop, and the same loop under
+// full-time profiling through the batched value buffers. The recorded
+// report (BENCH_vm.json) is the repo's VM performance baseline;
+// `Compare` gates regressions in `make ci`.
 //
 // Absolute ns/inst numbers are machine-dependent and recorded for
 // context only. The gated quantities are machine-independent: the
