@@ -16,8 +16,9 @@ all: build vet lint test
 
 # What CI runs: static checks, full build, race-enabled tests, the
 # coverage gate, a short fuzz pass over the parsers that face
-# untrusted input, the 500-seed differential-testing sweep, the
-# pool-level chaos sweep, the batched-buffer race benchmark, the
+# untrusted input and over the image-to-VM boundary, the 500-seed
+# differential-testing sweep, the pool-level chaos sweep, the
+# batched-buffer race benchmark, the
 # pooled-reuse chaos smoke, a one-iteration benchmark smoke (every
 # exhibit still regenerates, and the serial-vs-parallel suite
 # comparison still cross-checks), the VM hot-loop regression gate
@@ -61,6 +62,7 @@ lint:
 fuzz-smoke:
 	go test ./internal/core -run='^$$' -fuzz=FuzzReadProfileRecord -fuzztime=30s
 	go test ./internal/asm -run='^$$' -fuzz=FuzzAssemble -fuzztime=30s
+	go test ./internal/vm -run='^$$' -fuzz=FuzzLoadRun -fuzztime=30s
 
 # The differential-testing sweep: 500 generated programs checked
 # against the naive reference oracle (see docs/difftest.md). Any

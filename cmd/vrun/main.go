@@ -49,6 +49,9 @@ func main() {
 	} else {
 		prog, err = asm.Assemble(string(src))
 	}
+	if err == nil {
+		err = vm.CheckFit(prog, vm.DefaultMemSize)
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -2,6 +2,7 @@ package program
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,11 +121,21 @@ func (ir *imageReader) str() (string, error) {
 	if n > imageMaxStrings {
 		return "", fmt.Errorf("program: string length %d too large", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(ir.r, buf); err != nil {
-		return "", err
+	buf, err := ir.readN(n)
+	return string(buf), err
+}
+
+// readN reads n bytes. Memory grows with the bytes actually read, so a
+// short image claiming a huge section costs no more than its length.
+func (ir *imageReader) readN(n uint64) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, ir.r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
-	return string(buf), nil
+	return buf.Bytes(), nil
 }
 
 // Load reads a program image written by Save and validates it.
@@ -158,8 +169,9 @@ func Load(r io.Reader) (*Program, error) {
 	if err != nil || nCode > imageMaxStrings {
 		return fail("code", orSize(err, nCode))
 	}
-	p.Code = make([]isa.Inst, nCode)
-	for i := range p.Code {
+	// Like readN, the code grows with the words actually read.
+	p.Code = make([]isa.Inst, 0, min(nCode, 1<<12))
+	for range nCode {
 		w, err := ir.uvarint()
 		if err != nil {
 			return fail("code", err)
@@ -168,15 +180,14 @@ func Load(r io.Reader) (*Program, error) {
 		if err != nil {
 			return fail("code", err)
 		}
-		p.Code[i] = in
+		p.Code = append(p.Code, in)
 	}
 
 	nData, err := ir.uvarint()
 	if err != nil || nData > 1<<30 {
 		return fail("data", orSize(err, nData))
 	}
-	p.Data = make([]byte, nData)
-	if _, err := io.ReadFull(ir.r, p.Data); err != nil {
+	if p.Data, err = ir.readN(nData); err != nil {
 		return fail("data", err)
 	}
 

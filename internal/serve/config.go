@@ -10,6 +10,7 @@ import (
 	"valueprof/internal/core"
 	"valueprof/internal/parallel"
 	"valueprof/internal/program"
+	"valueprof/internal/vm"
 )
 
 // WireProgram carries the program of a job request in exactly one of
@@ -67,6 +68,8 @@ type JobConfig struct {
 	// carried checkpoint when possible); <= 0 means 1.
 	MaxAttempts int `json:"maxAttempts,omitempty"`
 	// MemSize is the guest memory budget in bytes; 0 = VM default.
+	// It may not exceed vm.MaxMemSize and must hold the program's data
+	// segment.
 	MemSize int `json:"memSize,omitempty"`
 	// ChargeHooks makes analysis calls cost simulated cycles.
 	ChargeHooks bool `json:"chargeHooks,omitempty"`
@@ -165,10 +168,10 @@ func (c *JobConfig) runOptions() atom.RunOptions {
 }
 
 // decodeProgram canonicalizes a submitted program: exactly one of the
-// two forms must be present, the result must pass both the structural
-// image gate (program.Load) and the bytecode verifier
-// (analysis.Verify), and the returned bytes are the freshly saved
-// canonical image the digest is computed over.
+// two forms must be present, the result must pass the structural
+// image gate (program.Load), the bytecode verifier (analysis.Verify)
+// and vm.CheckFit at the largest memory size, and the returned bytes
+// are the freshly saved canonical image the digest is computed over.
 func decodeProgram(wp WireProgram) (*program.Program, []byte, error) {
 	var prog *program.Program
 	switch {
@@ -194,6 +197,12 @@ func decodeProgram(wp WireProgram) (*program.Program, []byte, error) {
 		return nil, nil, reqErr(ClassBadRequest, "program.asm or program.image is required")
 	}
 	if err := analysis.Verify(prog).Err(); err != nil {
+		return nil, nil, reqErr(ClassInvalidProgram, "%v", err)
+	}
+	// A data segment no permitted memory size can hold is the
+	// program's fault; one the job's memSize cannot hold is the
+	// config's (Server.submit).
+	if err := vm.CheckFit(prog, vm.MaxMemSize); err != nil {
 		return nil, nil, reqErr(ClassInvalidProgram, "%v", err)
 	}
 	image, err := saveImage(prog)

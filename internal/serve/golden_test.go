@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"testing"
 	"time"
+
+	"valueprof/internal/asm"
 )
 
 // The golden suite pins the API contract — status codes and exact JSON
@@ -96,6 +98,22 @@ func TestGoldenSubmitErrors(t *testing.T) {
 			Inputs:  [][]int64{{1}},
 			Config:  JobConfig{DeadlineMs: -5},
 		}},
+		// The data segment (at program.DataBase) must fit in memSize,
+		// and memSize in vm.MaxMemSize.
+		{"err_memsize_below_data.txt", &JobRequest{
+			Program: WireProgram{Asm: loopSrc},
+			Inputs:  [][]int64{{1}},
+			Config:  JobConfig{MemSize: 1024},
+		}},
+		{"err_memsize_over_cap.txt", &JobRequest{
+			Program: WireProgram{Asm: loopSrc},
+			Inputs:  [][]int64{{1}},
+			Config:  JobConfig{MemSize: 1 << 40},
+		}},
+		{"err_data_beyond_memory.txt", &JobRequest{
+			Program: WireProgram{Image: farDataImage(t)},
+			Inputs:  [][]int64{{1}},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,6 +122,22 @@ func TestGoldenSubmitErrors(t *testing.T) {
 			checkGoldenResponse(t, tc.name, code, body)
 		})
 	}
+}
+
+// farDataImage is loopSrc as a base64 image whose data segment starts
+// at 1<<40, past any memory a job may have.
+func farDataImage(t *testing.T) string {
+	t.Helper()
+	prog, err := asm.Assemble(loopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.DataAddr = 1 << 40
+	image, err := saveImage(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base64.StdEncoding.EncodeToString(image)
 }
 
 func TestGoldenOversized(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 
 	"valueprof/internal/atomicio"
 	"valueprof/internal/program"
+	"valueprof/internal/vm"
 )
 
 // Job states. queued → running → one of the terminal states; a daemon
@@ -285,6 +286,11 @@ func loadManifest(path string) (*job, error) {
 		return nil, fmt.Errorf("serve: decoding manifest %s: %w", path, err)
 	}
 	prog, err := program.Load(bytesReader(m.Image))
+	if err == nil {
+		// Submission checks the fit; a manifest written before it did
+		// must not crash the worker that recovers it.
+		err = vm.CheckFit(prog, m.Config.runOptions().EffectiveMemSize())
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: manifest %s image: %w", path, err)
 	}

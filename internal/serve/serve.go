@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"valueprof/internal/core"
+	"valueprof/internal/vm"
 )
 
 // Options configures a Server.
@@ -193,6 +194,9 @@ func (s *Server) submit(req *JobRequest) (*job, bool, *RequestError) {
 	cfg := req.Config
 	if nerr := cfg.Normalize(); nerr != nil {
 		return nil, false, nerr.(*RequestError)
+	}
+	if err := vm.CheckFit(prog, cfg.runOptions().EffectiveMemSize()); err != nil {
+		return nil, false, reqErr(ClassConfig, "memSize: %v", err)
 	}
 	client := req.Client
 	if client == "" {

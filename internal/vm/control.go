@@ -2,6 +2,7 @@ package vm
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -192,16 +193,12 @@ func (v *VM) RunControlled(ctx context.Context) (RunOutcome, error) {
 	return outcome, err
 }
 
-// runLoop executes in blocks. A block ends at the nearest control
-// point: the next quantum check, StepLimit, or the earliest step
-// routine due. Inside a block the per-instruction path tests neither
-// the limit nor the routines; both are handled between blocks, so
-// faults, the step limit and routine calls stay exact.
+// runLoop executes in blocks, each run by runBlock. A block ends at
+// the nearest control point: the next quantum check, StepLimit, or the
+// earliest step routine due. Inside a block the per-instruction path
+// tests neither the limit nor the routines; both are handled between
+// blocks, so faults, the step limit and routine calls stay exact.
 func (v *VM) runLoop(ctx context.Context, quantum uint64, deadline time.Time) (RunOutcome, error) {
-	code := v.Prog.Code
-	// Hook attachment sets bits in this array in place, so the alias
-	// stays valid even if a hook attaches more hooks mid-run.
-	bits := v.hookBits
 	due := v.armSteps()
 	// The quantum counts down from run start on its own, so a block cut
 	// short by a routine does not move the control checks.
@@ -227,43 +224,8 @@ func (v *VM) runLoop(ctx context.Context, quantum uint64, deadline time.Time) (R
 		end = min(end, due)
 		start := v.InstCount
 
-		for v.InstCount < end && !v.Halted {
-			pc := v.PC
-			if pc < 0 || pc >= len(code) {
-				err := v.fault("pc %d out of range", pc)
-				return OutcomeFaulted, err
-			}
-			in := code[pc]
-
-			b := bits[pc]
-			if b&hookBeforeBit != 0 {
-				ev := &v.scratch
-				*ev = Event{VM: v, PC: pc, Inst: in}
-				v.runHooks(v.before[pc], ev)
-			}
-
-			value, addr, err := handlers[in.Op](v, pc, in)
-			if err != nil {
-				return OutcomeFaulted, err
-			}
-			v.InstCount++
-			v.Cycles += uint64(in.Op.Cycles())
-
-			if b&hookBufBit != 0 {
-				// The buffered sink replaces one closure-based after-hook:
-				// same per-value analysis-call count and cycle charge,
-				// delivered to the analysis out of line in batches.
-				v.AnalysisCalls++
-				if v.ChargeHooks {
-					v.Cycles += AnalysisCallCycles
-				}
-				v.bufs[pc].push(value)
-			}
-			if b&hookAfterBit != 0 {
-				ev := &v.scratch
-				*ev = Event{VM: v, PC: pc, Inst: in, Value: value, Addr: addr}
-				v.runHooks(v.after[pc], ev)
-			}
+		if err := v.runBlock(end); err != nil {
+			return OutcomeFaulted, err
 		}
 		untilCheck -= v.InstCount - start
 
@@ -275,6 +237,257 @@ func (v *VM) runLoop(ctx context.Context, quantum uint64, deadline time.Time) (R
 		}
 	}
 	return OutcomeCompleted, nil
+}
+
+// runBlock executes instructions until InstCount reaches end or the
+// program halts, and returns the guest fault that stops it early.
+//
+// Every opcode runs inline in one switch, and pc, InstCount, Cycles and
+// AnalysisCalls live in locals: Go's calling convention saves no
+// registers, so one call on this path would spill all of them on every
+// instruction. The locals are written back to the VM before anything
+// that can observe it (closure hooks, syscalls, faults, the end of the
+// block) and reloaded after closure hooks, which charge calls and
+// cycles. A faulting instruction is not counted, and Fault.PC and v.PC
+// both name it.
+func (v *VM) runBlock(end uint64) error {
+	code := v.Prog.Code
+	// Hook attachment sets bits in this array in place, so the alias
+	// stays valid even if a hook attaches more hooks mid-run. It is as
+	// long as code (ensureHookState); saying so lets the pc check below
+	// cover both.
+	bits := v.hookBits[:len(code)]
+	regs := &v.Regs
+	pc, n, cycles, calls := v.PC, v.InstCount, v.Cycles, v.AnalysisCalls
+	for n < end && !v.Halted {
+		if uint(pc) >= uint(len(code)) {
+			v.save(pc, n, cycles, calls)
+			return fault(pc, "pc %d out of range", pc)
+		}
+		in := code[pc]
+
+		b := bits[pc]
+		if b&hookBeforeBit != 0 {
+			v.save(pc, n, cycles, calls)
+			ev := &v.scratch
+			*ev = Event{VM: v, PC: pc, Inst: in}
+			v.runHooks(v.before[pc], ev)
+			n, cycles, calls = v.InstCount, v.Cycles, v.AnalysisCalls
+		}
+
+		// value is the result after-hooks see: the destination value,
+		// or the stored value of a store. addr is a memory access's
+		// effective address.
+		var value int64
+		var addr uint64
+		next := pc + 1
+		switch in.Op {
+		case isa.OpNop:
+		case isa.OpAdd:
+			value = regs[in.Ra] + regs[in.Rb]
+			v.setReg(in.Rd, value)
+		case isa.OpSub:
+			value = regs[in.Ra] - regs[in.Rb]
+			v.setReg(in.Rd, value)
+		case isa.OpMul:
+			value = regs[in.Ra] * regs[in.Rb]
+			v.setReg(in.Rd, value)
+		case isa.OpDiv:
+			if regs[in.Rb] == 0 {
+				v.save(pc, n, cycles, calls)
+				return fault(pc, "division by zero")
+			}
+			value = regs[in.Ra] / regs[in.Rb]
+			v.setReg(in.Rd, value)
+		case isa.OpRem:
+			if regs[in.Rb] == 0 {
+				v.save(pc, n, cycles, calls)
+				return fault(pc, "remainder by zero")
+			}
+			value = regs[in.Ra] % regs[in.Rb]
+			v.setReg(in.Rd, value)
+		case isa.OpAddi:
+			value = regs[in.Ra] + int64(in.Imm)
+			v.setReg(in.Rd, value)
+		case isa.OpMuli:
+			value = regs[in.Ra] * int64(in.Imm)
+			v.setReg(in.Rd, value)
+		case isa.OpAnd:
+			value = regs[in.Ra] & regs[in.Rb]
+			v.setReg(in.Rd, value)
+		case isa.OpOr:
+			value = regs[in.Ra] | regs[in.Rb]
+			v.setReg(in.Rd, value)
+		case isa.OpXor:
+			value = regs[in.Ra] ^ regs[in.Rb]
+			v.setReg(in.Rd, value)
+		case isa.OpAndi:
+			value = regs[in.Ra] & int64(in.Imm)
+			v.setReg(in.Rd, value)
+		case isa.OpOri:
+			value = regs[in.Ra] | int64(in.Imm)
+			v.setReg(in.Rd, value)
+		case isa.OpXori:
+			value = regs[in.Ra] ^ int64(in.Imm)
+			v.setReg(in.Rd, value)
+		case isa.OpSll:
+			value = regs[in.Ra] << (uint64(regs[in.Rb]) & 63)
+			v.setReg(in.Rd, value)
+		case isa.OpSrl:
+			value = int64(uint64(regs[in.Ra]) >> (uint64(regs[in.Rb]) & 63))
+			v.setReg(in.Rd, value)
+		case isa.OpSra:
+			value = regs[in.Ra] >> (uint64(regs[in.Rb]) & 63)
+			v.setReg(in.Rd, value)
+		case isa.OpSlli:
+			value = regs[in.Ra] << (uint32(in.Imm) & 63)
+			v.setReg(in.Rd, value)
+		case isa.OpSrli:
+			value = int64(uint64(regs[in.Ra]) >> (uint32(in.Imm) & 63))
+			v.setReg(in.Rd, value)
+		case isa.OpSrai:
+			value = regs[in.Ra] >> (uint32(in.Imm) & 63)
+			v.setReg(in.Rd, value)
+		case isa.OpCmpeq:
+			value = b2i(regs[in.Ra] == regs[in.Rb])
+			v.setReg(in.Rd, value)
+		case isa.OpCmpne:
+			value = b2i(regs[in.Ra] != regs[in.Rb])
+			v.setReg(in.Rd, value)
+		case isa.OpCmplt:
+			value = b2i(regs[in.Ra] < regs[in.Rb])
+			v.setReg(in.Rd, value)
+		case isa.OpCmple:
+			value = b2i(regs[in.Ra] <= regs[in.Rb])
+			v.setReg(in.Rd, value)
+		case isa.OpCmpgt:
+			value = b2i(regs[in.Ra] > regs[in.Rb])
+			v.setReg(in.Rd, value)
+		case isa.OpCmpge:
+			value = b2i(regs[in.Ra] >= regs[in.Rb])
+			v.setReg(in.Rd, value)
+		case isa.OpCmplti:
+			value = b2i(regs[in.Ra] < int64(in.Imm))
+			v.setReg(in.Rd, value)
+		case isa.OpCmpeqi:
+			value = b2i(regs[in.Ra] == int64(in.Imm))
+			v.setReg(in.Rd, value)
+		case isa.OpLdq:
+			addr = uint64(regs[in.Ra] + int64(in.Imm))
+			if !v.inMem(addr, 8) {
+				v.save(pc, n, cycles, calls)
+				return memFault(pc, addr, 8)
+			}
+			value = int64(binary.LittleEndian.Uint64(v.Mem[addr:]))
+			v.setReg(in.Rd, value)
+		case isa.OpLdl:
+			addr = uint64(regs[in.Ra] + int64(in.Imm))
+			if !v.inMem(addr, 4) {
+				v.save(pc, n, cycles, calls)
+				return memFault(pc, addr, 4)
+			}
+			value = int64(int32(binary.LittleEndian.Uint32(v.Mem[addr:])))
+			v.setReg(in.Rd, value)
+		case isa.OpLdbu:
+			addr = uint64(regs[in.Ra] + int64(in.Imm))
+			if !v.inMem(addr, 1) {
+				v.save(pc, n, cycles, calls)
+				return memFault(pc, addr, 1)
+			}
+			value = int64(v.Mem[addr])
+			v.setReg(in.Rd, value)
+		case isa.OpLdb:
+			addr = uint64(regs[in.Ra] + int64(in.Imm))
+			if !v.inMem(addr, 1) {
+				v.save(pc, n, cycles, calls)
+				return memFault(pc, addr, 1)
+			}
+			value = int64(int8(v.Mem[addr]))
+			v.setReg(in.Rd, value)
+		case isa.OpStq:
+			addr = uint64(regs[in.Ra] + int64(in.Imm))
+			if !v.inMem(addr, 8) {
+				v.save(pc, n, cycles, calls)
+				return memFault(pc, addr, 8)
+			}
+			value = regs[in.Rd]
+			binary.LittleEndian.PutUint64(v.Mem[addr:], uint64(value))
+		case isa.OpStl:
+			addr = uint64(regs[in.Ra] + int64(in.Imm))
+			if !v.inMem(addr, 4) {
+				v.save(pc, n, cycles, calls)
+				return memFault(pc, addr, 4)
+			}
+			value = regs[in.Rd]
+			binary.LittleEndian.PutUint32(v.Mem[addr:], uint32(value))
+		case isa.OpStb:
+			addr = uint64(regs[in.Ra] + int64(in.Imm))
+			if !v.inMem(addr, 1) {
+				v.save(pc, n, cycles, calls)
+				return memFault(pc, addr, 1)
+			}
+			value = regs[in.Rd]
+			v.Mem[addr] = byte(value)
+		case isa.OpBr:
+			next = int(in.Imm)
+		case isa.OpBeq:
+			if regs[in.Ra] == 0 {
+				next = int(in.Imm)
+			}
+		case isa.OpBne:
+			if regs[in.Ra] != 0 {
+				next = int(in.Imm)
+			}
+		case isa.OpJsr:
+			value = int64(pc + 1) // link value, visible to after-hooks
+			v.setReg(in.Rd, value)
+			next = int(in.Imm)
+		case isa.OpJsrr:
+			next = int(regs[in.Ra]) // read before the link write in case Rd == Ra
+			value = int64(pc + 1)
+			v.setReg(in.Rd, value)
+		case isa.OpJmp, isa.OpRet:
+			next = int(regs[in.Ra])
+		case isa.OpSyscall:
+			v.save(pc, n, cycles, calls)
+			val, err := v.syscall(in.Imm)
+			if err != nil {
+				return err
+			}
+			value = val
+		default:
+			v.save(pc, n, cycles, calls)
+			return fault(pc, "unimplemented opcode %v", in.Op)
+		}
+		n++
+		cycles += uint64(in.Op.Cycles())
+
+		if b&hookBufBit != 0 {
+			// The buffered sink replaces one closure-based after-hook:
+			// same per-value analysis-call count and cycle charge,
+			// delivered to the analysis out of line in batches.
+			calls++
+			if v.ChargeHooks {
+				cycles += AnalysisCallCycles
+			}
+			v.bufs[pc].push(value)
+		}
+		if b&hookAfterBit != 0 {
+			v.save(next, n, cycles, calls)
+			ev := &v.scratch
+			*ev = Event{VM: v, PC: pc, Inst: in, Value: value, Addr: addr}
+			v.runHooks(v.after[pc], ev)
+			next, n, cycles, calls = v.PC, v.InstCount, v.Cycles, v.AnalysisCalls
+		}
+		pc = next
+	}
+	v.save(pc, n, cycles, calls)
+	return nil
+}
+
+// save writes a block's locals back to the VM.
+func (v *VM) save(pc int, n, cycles, calls uint64) {
+	v.PC, v.InstCount, v.Cycles, v.AnalysisCalls = pc, n, cycles, calls
 }
 
 // Snapshot is a deep copy of a VM's mutable execution state, sufficient

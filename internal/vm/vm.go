@@ -3,12 +3,16 @@
 // charges cycles under a simple timing model, and exposes the
 // instrumentation hook points (before/after each chosen instruction,
 // plus program end) that the ATOM-like layer in internal/atom uses.
+//
+// The interpreter executes every opcode inline in one switch, keeping
+// the pc and the counters in locals between the points where hooks,
+// syscalls or faults can observe the VM, and hands profiled values to
+// the analysis through per-site buffers (see docs/perf.md).
 package vm
 
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"time"
@@ -17,10 +21,16 @@ import (
 	"valueprof/internal/program"
 )
 
-// Defaults for memory and runaway protection.
+// Defaults and caps for memory and runaway protection.
 const (
 	DefaultMemSize   = 8 << 20 // 8 MiB flat address space
 	DefaultStepLimit = 1 << 31 // instructions
+	// MaxMemSize caps guest memory (see CheckFit): a VM allocates and
+	// zeroes all of it up front, and a checkpoint copies it.
+	MaxMemSize = 256 << 20
+	// MaxOutput caps the guest's output in bytes. The syscall that
+	// would take Output past it faults instead of writing.
+	MaxOutput = 1 << 20
 	// minValidAddr makes low addresses fault, catching null-pointer
 	// style bugs in generated code. The data segment starts above it.
 	minValidAddr = 0x100
@@ -103,6 +113,22 @@ const (
 	hookAfterBit
 	hookBufBit
 )
+
+// CheckFit reports whether prog can run in memSize bytes of guest
+// memory: memSize must not exceed MaxMemSize, and the data segment
+// must lie inside the memory. New, NewSized and ResetFor panic on a
+// data segment that does not fit, so callers facing untrusted programs
+// or sizes check first.
+func CheckFit(prog *program.Program, memSize int) error {
+	if memSize < 0 || memSize > MaxMemSize {
+		return fmt.Errorf("vm: memory size %d outside [0, %d]", memSize, MaxMemSize)
+	}
+	if mem := uint64(memSize); prog.DataAddr > mem || mem-prog.DataAddr < uint64(len(prog.Data)) {
+		return fmt.Errorf("vm: %d-byte data segment at %#x does not fit in %d bytes of memory",
+			len(prog.Data), prog.DataAddr, memSize)
+	}
+	return nil
+}
 
 // New creates a VM for prog with default memory and step limit, loading
 // the data segment and initializing sp/fp to the top of memory.
@@ -236,8 +262,8 @@ func growClearHooks(s [][]Hook, n int) [][]Hook {
 	return s
 }
 
-func (v *VM) fault(format string, args ...any) error {
-	return &Fault{PC: v.PC, Msg: fmt.Sprintf(format, args...)}
+func fault(pc int, format string, args ...any) error {
+	return &Fault{PC: pc, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (v *VM) setReg(r uint8, val int64) {
@@ -246,46 +272,16 @@ func (v *VM) setReg(r uint8, val int64) {
 	}
 }
 
-// checkAddr never forms addr+size: that sum wraps for addresses within
-// size bytes of 2^64 and would pass the bound check.
-func (v *VM) checkAddr(addr uint64, size int) error {
+// inMem reports whether the size bytes at addr are valid guest memory.
+// It never forms addr+size: that sum wraps for addresses within size
+// bytes of 2^64 and would pass the bound check.
+func (v *VM) inMem(addr uint64, size uint64) bool {
 	mem := uint64(len(v.Mem))
-	if addr < minValidAddr || addr > mem || mem-addr < uint64(size) {
-		return v.fault("memory access at %#x size %d out of range", addr, size)
-	}
-	return nil
+	return addr >= minValidAddr && addr <= mem && mem-addr >= size
 }
 
-func (v *VM) load(addr uint64, size int) (int64, error) {
-	if err := v.checkAddr(addr, size); err != nil {
-		return 0, err
-	}
-	switch size {
-	case 1:
-		return int64(v.Mem[addr]), nil
-	case 4:
-		return int64(binary.LittleEndian.Uint32(v.Mem[addr:])), nil
-	case 8:
-		return int64(binary.LittleEndian.Uint64(v.Mem[addr:])), nil
-	}
-	panic("vm: bad load size")
-}
-
-func (v *VM) store(addr uint64, size int, val int64) error {
-	if err := v.checkAddr(addr, size); err != nil {
-		return err
-	}
-	switch size {
-	case 1:
-		v.Mem[addr] = byte(val)
-	case 4:
-		binary.LittleEndian.PutUint32(v.Mem[addr:], uint32(val))
-	case 8:
-		binary.LittleEndian.PutUint64(v.Mem[addr:], uint64(val))
-	default:
-		panic("vm: bad store size")
-	}
-	return nil
+func memFault(pc int, addr uint64, size uint64) error {
+	return fault(pc, "memory access at %#x size %d out of range", addr, size)
 }
 
 func (v *VM) runHooks(hooks []Hook, ev *Event) {
@@ -314,11 +310,10 @@ func (v *VM) syscall(code int32) (int64, error) {
 		v.ExitStatus = v.Regs[isa.RegA0]
 		return v.ExitStatus, nil
 	case isa.SysPutInt:
-		v.Output.WriteString(strconv.FormatInt(v.Regs[isa.RegA0], 10))
-		return v.Regs[isa.RegA0], nil
+		var digits [20]byte
+		return v.Regs[isa.RegA0], v.emit(strconv.AppendInt(digits[:0], v.Regs[isa.RegA0], 10))
 	case isa.SysPutChar:
-		v.Output.WriteByte(byte(v.Regs[isa.RegA0]))
-		return v.Regs[isa.RegA0], nil
+		return v.Regs[isa.RegA0], v.emit([]byte{byte(v.Regs[isa.RegA0])})
 	case isa.SysGetInt:
 		var val int64
 		if v.inputPos < len(v.Input) {
@@ -328,24 +323,32 @@ func (v *VM) syscall(code int32) (int64, error) {
 		v.setReg(isa.RegV0, val)
 		return val, nil
 	case isa.SysPutStr:
-		addr := uint64(v.Regs[isa.RegA0])
-		for {
-			b, err := v.load(addr, 1)
-			if err != nil {
+		for addr := uint64(v.Regs[isa.RegA0]); ; addr++ {
+			if !v.inMem(addr, 1) {
+				return 0, memFault(v.PC, addr, 1)
+			}
+			if v.Mem[addr] == 0 {
+				return 0, nil
+			}
+			if err := v.emit(v.Mem[addr : addr+1]); err != nil {
 				return 0, err
 			}
-			if b == 0 {
-				break
-			}
-			v.Output.WriteByte(byte(b))
-			addr++
 		}
-		return 0, nil
 	case isa.SysClock:
 		v.setReg(isa.RegV0, int64(v.Cycles))
 		return int64(v.Cycles), nil
 	}
-	return 0, v.fault("unknown syscall %d", code)
+	return 0, fault(v.PC, "unknown syscall %d", code)
+}
+
+// emit appends p to the guest output, or faults without writing it if
+// that would take the output past MaxOutput.
+func (v *VM) emit(p []byte) error {
+	if v.Output.Len()+len(p) > MaxOutput {
+		return fault(v.PC, "output limit of %d bytes exceeded", MaxOutput)
+	}
+	v.Output.Write(p)
+	return nil
 }
 
 func b2i(b bool) int64 {

@@ -3,6 +3,9 @@ package vm
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -268,30 +271,78 @@ main:   li zero, 77
 	}
 }
 
+// TestFaults pins each fault's message and the state it leaves: Fault.PC
+// and v.PC name the faulting instruction, which is excluded from
+// InstCount and Cycles, while every charge made before it (buffered
+// sites under ChargeHooks included) stays counted.
 func TestFaults(t *testing.T) {
 	cases := []struct {
 		name, src, want string
+		// patch, when set, edits the assembled program before the run
+		// (to plant what the assembler refuses to emit).
+		patch    func(*program.Program)
+		buffered []int // pcs given a buffered after-sink
+		charge   bool  // ChargeHooks
+		pc       int   // faulting pc
+		insts    uint64
+		cycles   uint64
+		calls    uint64
 	}{
-		{"div by zero", "main: li t0, 1\n li t1, 0\n div t2, t0, t1\n syscall exit", "division by zero"},
-		{"rem by zero", "main: li t0, 1\n li t1, 0\n rem t2, t0, t1\n syscall exit", "remainder by zero"},
-		{"null load", "main: ldq t0, 0(zero)\n syscall exit", "out of range"},
-		{"huge address", "main: li t0, 0x7fffffff\n slli t0, t0, 8\n ldq t1, 0(t0)\n syscall exit", "out of range"},
+		{name: "div by zero", src: "main: li t0, 1\n li t1, 0\n div t2, t0, t1\n syscall exit", want: "division by zero", pc: 2, insts: 2, cycles: 2},
+		{name: "rem by zero", src: "main: li t0, 1\n li t1, 0\n rem t2, t0, t1\n syscall exit", want: "remainder by zero", pc: 2, insts: 2, cycles: 2},
+		{name: "null load", src: "main: ldq t0, 0(zero)\n syscall exit", want: "out of range"},
+		{name: "huge address", src: "main: li t0, 0x7fffffff\n slli t0, t0, 8\n ldq t1, 0(t0)\n syscall exit", want: "out of range", pc: 2, insts: 2, cycles: 2},
 		// Addresses within the access size of 2^64: addr+size wraps.
-		{"load wraps -4", "main: ldq t1, -4(zero)\n syscall exit", "out of range"},
-		{"load wraps -8", "main: ldq t1, -8(zero)\n syscall exit", "out of range"},
-		{"byte load at 2^64-1", "main: li t0, -1\n ldbu t1, 0(t0)\n syscall exit", "out of range"},
-		{"store wraps -2", "main: stl t1, -2(zero)\n syscall exit", "out of range"},
-		{"bad syscall", "main: syscall 99\n syscall exit", "unknown syscall"},
-		{"runs off end", "main: nop", "pc 1 out of range"},
+		{name: "load wraps -4", src: "main: ldq t1, -4(zero)\n syscall exit", want: "out of range"},
+		{name: "load wraps -8", src: "main: ldq t1, -8(zero)\n syscall exit", want: "out of range"},
+		{name: "byte load at 2^64-1", src: "main: li t0, -1\n ldbu t1, 0(t0)\n syscall exit", want: "out of range", pc: 1, insts: 1, cycles: 1},
+		{name: "store wraps -2", src: "main: stl t1, -2(zero)\n syscall exit", want: "out of range"},
+		// Each access width faults in its own switch arm.
+		{name: "ldl below memory", src: "main: nop\n ldl t1, 0(zero)\n syscall exit", want: "at 0x0 size 4 out of range", pc: 1, insts: 1, cycles: 1},
+		{name: "ldb below memory", src: "main: nop\n ldb t1, 255(zero)\n syscall exit", want: "at 0xff size 1 out of range", pc: 1, insts: 1, cycles: 1},
+		{name: "stq past memory", src: "main: li t0, 0x7ffffc\n stq t1, 0(t0)\n syscall exit", want: "at 0x7ffffc size 8 out of range", pc: 1, insts: 1, cycles: 1},
+		{name: "stb past memory", src: "main: li t0, 0x800000\n stb t1, 0(t0)\n syscall exit", want: "at 0x800000 size 1 out of range", pc: 1, insts: 1, cycles: 1},
+		{name: "putstr below memory", src: "main: li a0, 16\n syscall putstr\n syscall exit", want: "at 0x10 size 1 out of range", pc: 1, insts: 1, cycles: 1},
+		{name: "bad syscall", src: "main: syscall 99\n syscall exit", want: "unknown syscall"},
+		{name: "runs off end", src: "main: nop", want: "pc 1 out of range", pc: 1, insts: 1, cycles: 1},
+		{name: "undefined opcode", src: "main: mul t0, t1, t2\n nop\n syscall exit", want: "unimplemented opcode op(200)",
+			patch: func(p *program.Program) { p.Code[1].Op = 200 }, pc: 1, insts: 1, cycles: 8},
+		// Two buffered sites each charge one analysis call and
+		// AnalysisCallCycles before the division faults: 1+1+12+12.
+		{name: "fault after buffered sites", src: "main: li t0, 1\n li t1, 0\n div t2, t0, t1\n syscall exit", want: "division by zero",
+			buffered: []int{0, 1}, charge: true, pc: 2, insts: 2, cycles: 26, calls: 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := run(t, c.src)
+			p, err := asm.Assemble(c.src)
+			if err != nil {
+				t.Fatalf("assemble: %v", err)
+			}
+			if c.patch != nil {
+				c.patch(p)
+			}
+			v := New(p)
+			v.ChargeHooks = c.charge
+			for _, pc := range c.buffered {
+				v.HookAfterBuffered(pc, NewValueBuffer(func([]int64) {}))
+			}
+			err = v.Run()
 			if err == nil {
 				t.Fatalf("no fault, want %q", c.want)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("fault %q does not contain %q", err, c.want)
+			}
+			var f *Fault
+			if !errors.As(err, &f) {
+				t.Fatalf("error %T is not a *Fault", err)
+			}
+			if f.PC != c.pc || v.PC != c.pc {
+				t.Errorf("Fault.PC %d, v.PC %d, want %d", f.PC, v.PC, c.pc)
+			}
+			if v.InstCount != c.insts || v.Cycles != c.cycles || v.AnalysisCalls != c.calls {
+				t.Errorf("at the fault: %d insts, %d cycles, %d analysis calls; want %d, %d, %d",
+					v.InstCount, v.Cycles, v.AnalysisCalls, c.insts, c.cycles, c.calls)
 			}
 		})
 	}
@@ -494,5 +545,178 @@ main:   syscall clock
 `)
 	if got := v.Output.String(); got != "1" {
 		t.Errorf("clock did not advance: %q", got)
+	}
+}
+
+// vmState is what instrumentation can read off the VM mid-run.
+type vmState struct {
+	PC                               int
+	InstCount, Cycles, AnalysisCalls uint64
+}
+
+// TestStateVisibleToHooks pins what closure hooks and step routines
+// see: the VM's pc and counters exactly as of their call, with buffered
+// sites and hook calls charged under ChargeHooks. A syscall clock read
+// includes every charge made before it, its own instruction's before
+// hook too.
+func TestStateVisibleToHooks(t *testing.T) {
+	p, err := asm.Assemble(`
+main:   li t0, 3            ; pc 0, buffered
+loop:   addi t0, t0, -1     ; pc 1, buffered, before hook
+        mul t1, t1, t0      ; pc 2, after hook
+        bne t0, loop        ; pc 3
+        syscall clock       ; pc 4, before hook
+        mov a0, v0          ; pc 5
+        syscall putint      ; pc 6
+        syscall exit        ; pc 7
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(p)
+	v.ChargeHooks = true
+	seen := func(log *[]vmState) Hook {
+		return func(ev *Event) {
+			*log = append(*log, vmState{ev.VM.PC, ev.VM.InstCount, ev.VM.Cycles, ev.VM.AnalysisCalls})
+		}
+	}
+	var before, after, steps []vmState
+	v.HookAfterBuffered(0, NewValueBuffer(func([]int64) {}))
+	v.HookAfterBuffered(1, NewValueBuffer(func([]int64) {}))
+	v.HookBefore(1, seen(&before))
+	v.HookBefore(4, seen(&before))
+	v.HookAfter(2, seen(&after))
+	v.HookStep(func(v *VM) (uint64, error) {
+		steps = append(steps, vmState{v.PC, v.InstCount, v.Cycles, v.AnalysisCalls})
+		return v.InstCount + 1, nil
+	})
+	if err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference walks the known pc trace with the timing model: a
+	// before hook sees the state ahead of its instruction, pc at it,
+	// and is charged once it returns; the instruction retires, its
+	// buffered sink is charged, an after hook sees that with pc
+	// advanced and is charged in turn; a step routine sees everything
+	// up to and including its instruction.
+	var wantBefore, wantAfter, wantSteps []vmState
+	var n, cycles, calls uint64
+	charge := func() { calls++; cycles += AnalysisCallCycles }
+	trace := []int{0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 4, 5, 6, 7}
+	for i, pc := range trace {
+		if pc == 1 || pc == 4 {
+			wantBefore = append(wantBefore, vmState{pc, n, cycles, calls})
+			charge()
+		}
+		n++
+		cycles += uint64(p.Code[pc].Op.Cycles())
+		if pc <= 1 {
+			charge()
+		}
+		next := pc + 1 // exit, too, advances pc as it halts
+		if i+1 < len(trace) {
+			next = trace[i+1]
+		}
+		if pc == 2 {
+			wantAfter = append(wantAfter, vmState{next, n, cycles, calls})
+			charge()
+		}
+		wantSteps = append(wantSteps, vmState{next, n, cycles, calls})
+	}
+	if !reflect.DeepEqual(before, wantBefore) {
+		t.Errorf("before hooks saw\n%v\nwant\n%v", before, wantBefore)
+	}
+	if !reflect.DeepEqual(after, wantAfter) {
+		t.Errorf("after hook saw\n%v\nwant\n%v", after, wantAfter)
+	}
+	if !reflect.DeepEqual(steps, wantSteps) {
+		t.Errorf("step routine saw\n%v\nwant\n%v", steps, wantSteps)
+	}
+	if v.InstCount != n || v.Cycles != cycles || v.AnalysisCalls != calls {
+		t.Errorf("final state %d insts, %d cycles, %d calls; want %d, %d, %d",
+			v.InstCount, v.Cycles, v.AnalysisCalls, n, cycles, calls)
+	}
+
+	// The clock read at pc 4, by hand: li 1 + buffered 12, then three
+	// iterations of (before hook 12, addi 1, buffered 12, mul 8, after
+	// hook 12, bne 2) = 3*47, then the clock's own before hook 12:
+	// 13 + 141 + 12 = 166.
+	if got := v.Output.String(); got != "166" {
+		t.Errorf("syscall clock printed %q, want 166", got)
+	}
+}
+
+// TestOutputLimit: guest output stops at MaxOutput bytes. The syscall
+// that would write past it faults at its pc; putstr has written the
+// bytes up to the limit by then, putint writes none of its digits.
+func TestOutputLimit(t *testing.T) {
+	cases := []struct {
+		name string
+		fill int    // 'A's NUL-terminated at buf, printed by the putstr at pc 1
+		tail string // instructions after the putstr
+		pc   int    // faulting pc, -1 for none
+		out  int    // output length at the end
+	}{
+		{"putstr to the limit", MaxOutput, "", -1, MaxOutput},
+		{"putstr one past", MaxOutput + 1, "", 1, MaxOutput},
+		{"putchar one past", MaxOutput, "li a0, 66\n syscall putchar\n", 3, MaxOutput},
+		{"putint past", MaxOutput - 1, "li a0, 42\n syscall putint\n", 3, MaxOutput - 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := fmt.Sprintf("main: la a0, buf\n syscall putstr\n %s syscall exit\n .data\nbuf: .space %d\n", c.tail, c.fill+1)
+			p, err := asm.Assemble(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := New(p)
+			buf := p.DataSyms["buf"]
+			for i := range c.fill {
+				v.Mem[buf+uint64(i)] = 'A'
+			}
+			err = v.Run()
+			if v.Output.Len() != c.out {
+				t.Errorf("output is %d bytes, want %d", v.Output.Len(), c.out)
+			}
+			if c.pc < 0 {
+				if err != nil {
+					t.Fatalf("run faulted: %v", err)
+				}
+				return
+			}
+			var f *Fault
+			if !errors.As(err, &f) || f.PC != c.pc || !strings.Contains(f.Msg, "output limit") {
+				t.Fatalf("err = %v, want an output limit fault at pc %d", err, c.pc)
+			}
+		})
+	}
+}
+
+// TestCheckFit pins the gate for untrusted programs and memory sizes:
+// the data segment must lie inside guest memory, computed without
+// forming DataAddr+len(Data), which wraps near 2^64, and memory may
+// not exceed MaxMemSize.
+func TestCheckFit(t *testing.T) {
+	cases := []struct {
+		name string
+		addr uint64
+		mem  int
+		ok   bool
+	}{
+		{"default memory", program.DataBase, DefaultMemSize, true},
+		{"exactly full", program.DataBase, program.DataBase + 16, true},
+		{"one byte short", program.DataBase, program.DataBase + 15, false},
+		{"starts past the end", 1 << 40, DefaultMemSize, false},
+		{"end wraps past 2^64", math.MaxUint64 - 7, DefaultMemSize, false},
+		{"at the cap", program.DataBase, MaxMemSize, true},
+		{"over the cap", program.DataBase, MaxMemSize + 1, false},
+		{"negative size", program.DataBase, -1, false},
+	}
+	for _, c := range cases {
+		p := &program.Program{DataAddr: c.addr, Data: make([]byte, 16)}
+		if err := CheckFit(p, c.mem); (err == nil) != c.ok {
+			t.Errorf("%s: CheckFit(data at %#x, %d bytes) = %v, want ok %v", c.name, c.addr, c.mem, err, c.ok)
+		}
 	}
 }

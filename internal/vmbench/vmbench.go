@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"time"
@@ -255,12 +256,6 @@ func Measure(opts Options) (*Report, error) {
 		Repeats:    opts.Repeats,
 	}
 
-	unhooked, insts, err := timeRun(prog, input, opts.Repeats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rep.UnhookedNsPerInst, rep.Insts = unhooked, insts
-
 	profiler := func() (atom.Tool, func()) {
 		vp, err := core.NewValueProfiler(core.DefaultOptions())
 		if err != nil {
@@ -271,12 +266,25 @@ func Measure(opts Options) (*Report, error) {
 		// profiling pass.
 		return vp, vp.FlushBuffers
 	}
-	hooked, _, err := timeRun(prog, input, opts.Repeats, profiler)
-	if err != nil {
-		return nil, err
+	// The two configurations are timed in alternation, one run of each
+	// per repeat, so both minimums come from the same stretches of host
+	// load. Timed one after the other, a slow stretch on a shared host
+	// lands on one side only and can swing the ratio by half.
+	rep.UnhookedNsPerInst, rep.HookedNsPerInst = math.Inf(1), math.Inf(1)
+	for i := 0; i < opts.Repeats; i++ {
+		unhooked, insts, err := timeRun(prog, input, 1, nil)
+		if err != nil {
+			return nil, err
+		}
+		hooked, _, err := timeRun(prog, input, 1, profiler)
+		if err != nil {
+			return nil, err
+		}
+		rep.Insts = insts
+		rep.UnhookedNsPerInst = min(rep.UnhookedNsPerInst, unhooked)
+		rep.HookedNsPerInst = min(rep.HookedNsPerInst, hooked)
 	}
-	rep.HookedNsPerInst = hooked
-	rep.HookOverhead = hooked / unhooked
+	rep.HookOverhead = rep.HookedNsPerInst / rep.UnhookedNsPerInst
 
 	allocs, kb, err := measureAllocs(prog, input, opts.Repeats, profiler)
 	if err != nil {
