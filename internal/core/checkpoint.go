@@ -12,6 +12,7 @@ import (
 
 	"valueprof/internal/atom"
 	"valueprof/internal/atomicio"
+	"valueprof/internal/isa"
 	"valueprof/internal/vm"
 )
 
@@ -343,9 +344,15 @@ func validateSiteState(s *SiteState, cfg TNVConfig) error {
 	return nil
 }
 
+// validateVMState checks the machine state RestoreVM would build a VM
+// from: a memory size RestoreVM can allocate (vm.MaxMemSize bounds
+// guest memory as it does at submission), and a full register file.
 func validateVMState(v *VMState) error {
-	if v.MemLen <= 0 {
+	if v.MemLen <= 0 || v.MemLen > vm.MaxMemSize {
 		return fmt.Errorf("vm state: bad memory size %d", v.MemLen)
+	}
+	if len(v.Regs) != isa.NumRegs {
+		return fmt.Errorf("vm state: %d registers, want %d", len(v.Regs), isa.NumRegs)
 	}
 	if v.InputPos < 0 {
 		return fmt.Errorf("vm state: negative input position")

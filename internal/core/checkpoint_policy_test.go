@@ -235,3 +235,44 @@ func TestResumeAfterMidWriteCorruption(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointBoundsVMState checks that a checkpoint with a valid CRC
+// but machine state no VM can be restored from is refused: a memory
+// size above vm.MaxMemSize, which RestoreVM would try to allocate, or a
+// register file of the wrong length. The repair loader keeps the sites
+// and disables resume.
+func TestCheckpointBoundsVMState(t *testing.T) {
+	orig, _ := ckptWithVM(t)
+	for _, c := range []struct {
+		name   string
+		mutate func(*VMState)
+	}{
+		{"memLen 1<<62", func(st *VMState) { st.MemLen = 1 << 62 }},
+		{"memLen 3 GiB", func(st *VMState) { st.MemLen = 3 << 30 }},
+		{"memLen above vm.MaxMemSize", func(st *VMState) { st.MemLen = vm.MaxMemSize + 1 }},
+		{"3 registers", func(st *VMState) { st.Regs = st.Regs[:3] }},
+	} {
+		st := *orig.VM
+		st.Regs = append([]int64(nil), st.Regs...)
+		c.mutate(&st)
+		ck := *orig
+		ck.VM = &st
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, &ck); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("%s: strict loader accepted the checkpoint", c.name)
+			if st.MemLen == 1<<62 {
+				// What accepting it costs: RestoreVM panics
+				// (makeslice: len out of range). Of these sizes only
+				// this one fails before allocating anything.
+				_ = got.RestoreVM(vm.NewSized(assembleCkpt(t), 64<<10))
+			}
+		}
+		got, rep, err := ReadCheckpointPolicy(bytes.NewReader(buf.Bytes()), RepairDrop)
+		if err != nil || rep.Resumable || got.VM != nil || len(got.Sites) != len(orig.Sites) {
+			t.Errorf("%s: repair loader: err %v, report %+v; want every site kept and resume disabled", c.name, err, rep)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -203,5 +204,85 @@ func TestLoaderPartialOutcomeRoundTrip(t *testing.T) {
 	}
 	if back.Outcome != "cancelled" {
 		t.Errorf("outcome %q", back.Outcome)
+	}
+}
+
+// TestLoaderNestingLimit checks that unknown members nest as deep as
+// encoding/json allows (10000 open arrays and objects within one
+// decoded value, which for a site member counts the site itself) and
+// no deeper, with the same verdict from the reference loader.
+func TestLoaderNestingLimit(t *testing.T) {
+	nested := func(depth int) string { return strings.Repeat("[", depth) + strings.Repeat("]", depth) }
+	for _, c := range []struct {
+		data string
+		ok   bool
+	}{
+		{`{"k":10,"x":` + nested(10000) + `,"sites":[]}`, true},
+		{`{"k":10,"x":` + nested(10001) + `,"sites":[]}`, false},
+		{`{"k":10,"sites":[{"pc":1,"exec":1,"x":` + nested(9999) + `}]}`, true},
+		{`{"k":10,"sites":[{"pc":1,"exec":1,"x":` + nested(10000) + `}]}`, false},
+	} {
+		for _, policy := range []RepairPolicy{RepairNone, RepairDrop} {
+			rec, rep, err := compareLoaders(t, []byte(c.data), policy)
+			if ok := err == nil && rep.Clean() && len(rec.Sites) == strings.Count(c.data, `"pc"`); ok != c.ok {
+				t.Errorf("policy %v, %d bytes: loaded cleanly = %v, want %v (err %v)", policy, len(c.data), ok, c.ok, err)
+			}
+		}
+	}
+}
+
+func TestLoaderTrailingData(t *testing.T) {
+	// Only whitespace may follow the record: a second record or other
+	// bytes fail a strict load, and a repair load keeps the record but
+	// reports it as not clean.
+	for _, data := range []string{
+		`{"k":10,"sites":[]}{"k":3}`,
+		`{"k":10,"sites":[]} trailing`,
+		goodRecord + "\n" + goodRecord,
+		goodRecord + "\n\x00",
+	} {
+		if _, err := ReadProfileRecord(strings.NewReader(data)); err == nil {
+			t.Errorf("strict loader accepted data after the record in %.60q", data)
+		}
+		rec, rep, err := ReadProfileRecordPolicy(strings.NewReader(data), RepairDrop)
+		if err != nil || rec.K != 10 || rep.Clean() {
+			t.Errorf("repair load of %.60q: err %v, report %+v; want the record, not clean", data, err, rep)
+		}
+	}
+	for _, tail := range []string{"", "\n", " \t\r\n "} {
+		rec, rep, err := ReadProfileRecordPolicy(strings.NewReader(goodRecord+tail), RepairDrop)
+		if err != nil || !rep.Clean() || len(rec.Sites) != 2 {
+			t.Errorf("whitespace %q after the record: err %v, report %+v", tail, err, rep)
+		}
+	}
+}
+
+// TestReadProfileRecordAllocs bounds the loader's allocations on a
+// clean record of several hundred sites, as WriteJSON writes it: at
+// most 2 per site (its name and its TNV table) plus 64 for the rest of
+// the load. Like hookedAllocsPerRun, it is a gate the host's speed
+// cannot move.
+func TestReadProfileRecordAllocs(t *testing.T) {
+	const sites = 500
+	rec := &ProfileRecord{Program: "p", Input: "test", K: 10, Outcome: "completed"}
+	for i := 0; i < sites; i++ {
+		s := SiteRecord{PC: 4 * i, Name: fmt.Sprintf("main+%d", 4*i), Exec: 1000, LVPHits: 600, Zeros: 20, Dropped: 3}
+		for v := 0; v < i%11; v++ {
+			s.Top = append(s.Top, TNVEntry{Value: int64(7*v - 20), Count: uint64(90 - v)})
+		}
+		rec.Sites = append(rec.Sites, s)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ReadProfileRecord(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 2*sites + 64; allocs > float64(limit) {
+		t.Errorf("loading a %d-site record made %.0f allocations, limit %d", sites, allocs, limit)
 	}
 }
