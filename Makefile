@@ -5,10 +5,10 @@
 # Coverage floors for the packages the correctness argument rests on.
 # Raise them when coverage genuinely improves; lowering one is a
 # reviewable decision, not a CI tweak.
-COVER_MIN_CORE      := 88
+COVER_MIN_CORE      := 90
 COVER_MIN_PARALLEL  := 85
 COVER_MIN_ANALYSIS  := 80
-COVER_MIN_SERVE     := 80
+COVER_MIN_SERVE     := 88
 COVER_MIN_SUPERVISE := 75
 COVER_MIN_VM        := 88
 
@@ -68,6 +68,7 @@ FUZZ_SMOKE := -run='^$$' -fuzztime=30s -fuzzminimizetime=100x
 fuzz-smoke:
 	go test ./internal/core $(FUZZ_SMOKE) -fuzz=FuzzReadProfileRecord
 	go test ./internal/core $(FUZZ_SMOKE) -fuzz=FuzzReadCheckpointPolicy
+	go test ./internal/core $(FUZZ_SMOKE) -fuzz=FuzzTNVAdd
 	go test ./internal/asm $(FUZZ_SMOKE) -fuzz=FuzzAssemble
 	go test ./internal/vm $(FUZZ_SMOKE) -fuzz=FuzzLoadRun
 

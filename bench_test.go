@@ -124,8 +124,12 @@ func BenchmarkE21Convergence(b *testing.B) { benchExperiment(b, "e21") }
 
 // --- microbenchmarks of the profiling primitives themselves ---
 
-// BenchmarkTNVAdd measures the cost of one TNV-table update, the inner
-// loop of all value profiling.
+// BenchmarkTNVAdd measures one TNVTable.Add on a 16-value cycle, wider
+// than the 10-entry table, so updates mix hits with tail evictions.
+// Add is the per-value entry point; profiled runs deliver values in
+// batches through SiteStats.ObserveBatch, which handles head runs and
+// tail evictions itself and calls Add for the rest (see
+// BenchmarkObserveBatch in internal/core).
 func BenchmarkTNVAdd(b *testing.B) {
 	tab := valueprof.NewTNV(valueprof.DefaultTNVConfig())
 	b.ResetTimer()

@@ -448,6 +448,7 @@ func restoreSite(st *SiteState, cfg TNVConfig) *SiteStats {
 	s.last = st.Last
 	s.hasLast = st.HasLast
 	s.TNV.entries = append(s.TNV.entries[:0], st.TNV.Entries...)
+	s.TNV.rebuildSig()
 	s.TNV.updates = st.TNV.Updates
 	s.TNV.dropped = st.TNV.Dropped
 	s.TNV.sinceClear = st.TNV.SinceClear

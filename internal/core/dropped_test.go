@@ -75,23 +75,36 @@ func TestDroppedDoesNotTickClearClock(t *testing.T) {
 // TestObserveBatchMatchesObserve: delivering a value stream through
 // ObserveBatch in arbitrary chunkings must leave a site byte-identical
 // to per-value Observe calls — including last-value chains across
-// batch boundaries, clear cadence, and drop counts.
+// batch boundaries, clear cadence, and drop counts. With the ground
+// truth on (full), ObserveBatch replays each value through Observe;
+// without it, it takes its own paths — head runs in closed form and
+// tail evictions inline — and those rows check that they match.
 func TestObserveBatchMatchesObserve(t *testing.T) {
-	for _, cfg := range []TNVConfig{
-		{Size: 4, Steady: 2, ClearInterval: 16}, // eviction + clearing
-		{Size: 3, Steady: 3, ClearInterval: 8},  // fully steady: drops
+	for _, tc := range []struct {
+		cfg    TNVConfig
+		full   bool
+		domain int // values are drawn from [0, domain)
+		n      int
+	}{
+		{TNVConfig{Size: 4, Steady: 2, ClearInterval: 16}, true, 9, 2000},  // eviction + clearing
+		{TNVConfig{Size: 3, Steady: 3, ClearInterval: 8}, true, 9, 2000},   // fully steady: drops
+		{DefaultTNVConfig(), false, 40, 8000},                              // eviction-heavy, four clears
+		{TNVConfig{Size: 4, Steady: 0, ClearInterval: 16}, false, 9, 2000}, // clears flush the head: no head runs
+		{TNVConfig{Size: 3, Steady: 3, ClearInterval: 8}, false, 9, 2000},  // fully steady: drops, no evictions
+		{TNVConfig{Size: 4, Steady: 2, ClearInterval: 1}, false, 9, 2000},  // a clear after every update
 	} {
+		cfg := tc.cfg
 		rng := rand.New(rand.NewSource(1))
-		seq := make([]int64, 2000)
+		seq := make([]int64, tc.n)
 		for i := range seq {
-			seq[i] = int64(rng.Intn(9)) // small domain: plenty of repeats and zeros
+			seq[i] = int64(rng.Intn(tc.domain)) // small domain: plenty of repeats and zeros
 		}
 
-		one := NewSiteStats(0, "s", cfg, true)
+		one := NewSiteStats(0, "s", cfg, tc.full)
 		for _, v := range seq {
 			one.Observe(v)
 		}
-		batched := NewSiteStats(0, "s", cfg, true)
+		batched := NewSiteStats(0, "s", cfg, tc.full)
 		for off := 0; off < len(seq); {
 			n := 1 + rng.Intn(90) // odd chunk sizes, some past ValueBufCap
 			if off+n > len(seq) {
@@ -102,7 +115,10 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 		}
 
 		if a, b := siteState(one), siteState(batched); !reflect.DeepEqual(a, b) {
-			t.Errorf("cfg %+v: batched state %+v != per-value state %+v", cfg, b, a)
+			t.Errorf("cfg %+v full=%v: batched state %+v != per-value state %+v", cfg, tc.full, b, a)
+		}
+		if !tc.full {
+			continue
 		}
 		for _, e := range one.Full.Top(one.Full.Distinct()) {
 			if got := batched.Full.Count(e.Value); got != e.Count {

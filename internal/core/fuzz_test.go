@@ -213,3 +213,90 @@ func reseal(data []byte) ([]byte, bool) {
 	sealed, err := json.Marshal(&env)
 	return sealed, err == nil
 }
+
+// tnvFuzzDomain is the value alphabet FuzzTNVAdd draws its streams
+// from: small integers, values whose signature bit (sigBit) is that of
+// a small integer — 34 and 89 share 0's, 56 and 90 share 1's, and so
+// on — eight 8-aligned addresses, and two negatives.
+var tnvFuzzDomain = [32]int64{
+	0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+	34, 89, 56, 90, 36, 58, 93, 60, 95, 62,
+	0x7fff0000, 0x7fff0008, 0x7fff0010, 0x7fff0018,
+	0x7fff0020, 0x7fff0028, 0x7fff0030, 0x7fff0038,
+	-1, -8,
+}
+
+// FuzzTNVAdd drives one value stream through TNVTable.Add and through
+// SiteStats.ObserveBatch and, after every step, compares each table
+// with refTNV, the update rule the signature replaced: entries in
+// order, updates, dropped, clears and the clear clock must all match.
+// At the split point each table is round-tripped through
+// siteState→restoreSite and then Clone before the stream continues, so
+// a signature either path leaves stale shows up as a duplicate entry.
+//
+// The arguments decode to a configuration (Size 1–12, Steady 0–Size,
+// ClearInterval 0–31), a stream over tnvFuzzDomain, the split point as
+// a fraction of the stream, and the ObserveBatch chunk sizes (1–70,
+// cycling; one chunk when empty).
+func FuzzTNVAdd(f *testing.F) {
+	f.Fuzz(func(t *testing.T, size, steady, interval, split uint8, stream, chunks []byte) {
+		cfg := TNVConfig{Size: 1 + int(size)%12}
+		cfg.Steady = int(steady) % (cfg.Size + 1)
+		cfg.ClearInterval = uint64(interval) % 32
+		vals := make([]int64, len(stream))
+		for i, b := range stream {
+			vals[i] = tnvFuzzDomain[int(b)%len(tnvFuzzDomain)]
+		}
+		cut := int(split) * len(vals) / 255
+		roundTrip := func(s *SiteStats) *SiteStats {
+			st := siteState(s)
+			r := restoreSite(&st, cfg)
+			r.TNV = r.TNV.Clone()
+			return r
+		}
+
+		ref := &refTNV{cfg: cfg}
+		site := NewSiteStats(0, "s", cfg, false)
+		for i, v := range vals {
+			if i == cut {
+				site = roundTrip(site)
+			}
+			ref.Add(v)
+			site.TNV.Add(v)
+			checkTNV(t, site.TNV, ref, "%+v Add #%d (%d)", cfg, i, v)
+		}
+
+		ref = &refTNV{cfg: cfg}
+		site = NewSiteStats(0, "s", cfg, false)
+		var lvp, zeros uint64
+		for off, k := 0, 0; off < len(vals); k++ {
+			if off == cut {
+				site = roundTrip(site)
+			}
+			n := len(vals) - off
+			if len(chunks) > 0 {
+				n = min(n, 1+int(chunks[k%len(chunks)])%70)
+			}
+			if off < cut {
+				n = min(n, cut-off)
+			}
+			batch := vals[off : off+n]
+			site.ObserveBatch(batch)
+			for i, v := range batch {
+				ref.Add(v)
+				if off+i > 0 && vals[off+i-1] == v {
+					lvp++
+				}
+				if v == 0 {
+					zeros++
+				}
+			}
+			off += n
+			checkTNV(t, site.TNV, ref, "%+v ObserveBatch %v", cfg, batch)
+			if site.Exec != uint64(off) || site.LVPHits != lvp || site.Zeros != zeros || site.last != vals[off-1] {
+				t.Fatalf("%+v ObserveBatch %v: exec=%d lvp=%d zeros=%d last=%d, want %d %d %d %d",
+					cfg, batch, site.Exec, site.LVPHits, site.Zeros, site.last, off, lvp, zeros, vals[off-1])
+			}
+		}
+	})
+}

@@ -17,6 +17,7 @@ func (t *TNVTable) Clone() *TNVTable {
 	return &TNVTable{
 		cfg:        t.cfg,
 		entries:    append([]TNVEntry(nil), t.entries...),
+		sig:        t.sig,
 		updates:    t.updates,
 		dropped:    t.dropped,
 		sinceClear: t.sinceClear,
@@ -64,6 +65,7 @@ func (t *TNVTable) Merge(o *TNVTable) error {
 		merged = merged[:t.cfg.Size]
 	}
 	t.entries = merged
+	t.rebuildSig()
 	t.updates += o.updates
 	t.dropped += o.dropped
 	t.clears += o.clears

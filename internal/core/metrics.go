@@ -63,7 +63,9 @@ func (s *SiteStats) Observe(v int64) {
 // one table update covering the whole run (the LVP chain, zero count,
 // and clear clock all advance by closed form). The head-run fast path
 // re-checks the head after every general update, so values that bubble
-// to the top mid-batch start taking it immediately.
+// to the top mid-batch start taking it immediately. A value the table's
+// signature proves absent from a full table evicts the tail in place
+// without a call to Add; every other value takes Add.
 func (s *SiteStats) ObserveBatch(vals []int64) {
 	if len(vals) == 0 {
 		return
@@ -81,6 +83,9 @@ func (s *SiteStats) ObserveBatch(vals []int64) {
 	// itself, which would break the head-run closed form; such tables
 	// (test configurations) take the per-value path.
 	headRuns := t.cfg.ClearInterval == 0 || t.cfg.Steady > 0
+	// A full table evicts its tail on a miss only when it has a clear
+	// part; a fully steady one drops the value, which Add counts.
+	evicts := t.cfg.Steady < t.cfg.Size
 	last, hasLast := s.last, s.hasLast
 	var lvp, zeros uint64
 	for i := 0; i < len(vals); {
@@ -112,7 +117,18 @@ func (s *SiteStats) ObserveBatch(vals []int64) {
 		if v == 0 {
 			zeros++
 		}
-		t.Add(v)
+		// A miss on a full table evicts the tail in place. A clear
+		// signature bit proves v is not above the tail, the head
+		// included, and a tail compare completes the proof without a
+		// scan. Anything else, signature false positives included,
+		// takes Add.
+		if e := t.entries; len(e) == t.cfg.Size && evicts && t.sig&sigBit(v) == 0 && e[len(e)-1].Value != v {
+			t.updates++
+			e[len(e)-1] = TNVEntry{Value: v, Count: 1}
+			t.maybeClear()
+		} else {
+			t.Add(v)
+		}
 		i++
 	}
 	s.Exec += uint64(len(vals))

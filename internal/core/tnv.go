@@ -50,10 +50,39 @@ type TNVEntry struct {
 type TNVTable struct {
 	cfg        TNVConfig
 	entries    []TNVEntry // sorted by Count descending
+	sig        uint64     // sigBit of every value in entries[:len-1]; see sigBit
 	updates    uint64     // values observed
 	dropped    uint64     // observed values discarded by a full, fully-steady table
 	sinceClear uint64
 	clears     uint64
+}
+
+// sigBit maps a value to one bit of the table's signature, the 64-bit
+// summary of the values held above the tail (entries[:len-1]). The
+// invariant is that every such value has its bit set; extra bits are
+// harmless. A clear bit therefore proves the value is not above the
+// tail, so a miss is settled by one bit test and one tail compare
+// instead of a scan. The bit index is the top six bits of a Fibonacci
+// multiplicative hash, which depend on every bit of the value: the low
+// bits alone would put all of an address-valued site's aligned values
+// on a handful of bits.
+func sigBit(v int64) uint64 {
+	return 1 << (uint64(v) * 0x9E3779B97F4A7C15 >> 58)
+}
+
+// rebuildSig recomputes the signature exactly from the entries above
+// the tail. An append ORs in one bit and an eviction, which replaces
+// only the tail, needs none; every other change to the entries above
+// the tail ends with a rebuild: a tail that climbs, a clear, a merge
+// and a checkpoint restore.
+func (t *TNVTable) rebuildSig() {
+	var sig uint64
+	if n := len(t.entries); n > 1 {
+		for _, e := range t.entries[:n-1] {
+			sig |= sigBit(e.Value)
+		}
+	}
+	t.sig = sig
 }
 
 // NewTNV creates a table; it panics on an invalid configuration
@@ -100,13 +129,25 @@ func (t *TNVTable) Add(v int64) {
 	}
 
 	// Hit below the head: increment and bubble toward the front to
-	// keep the order.
-	for i := 1; i < len(e); i++ {
+	// keep the order. Only a value whose signature bit is set can sit
+	// above the tail, so a clear bit limits the scan to the tail — most
+	// misses compare one entry. Bubbling within entries[:len-1] leaves
+	// the set above the tail unchanged; a tail that climbs swaps a value
+	// into it, so the signature is rebuilt.
+	i := 1
+	if t.sig&sigBit(v) == 0 && len(e) > 1 {
+		i = len(e) - 1
+	}
+	for ; i < len(e); i++ {
 		if e[i].Value == v {
+			fromTail := i == len(e)-1
 			e[i].Count++
 			for i > 0 && e[i-1].Count < e[i].Count {
 				e[i-1], e[i] = e[i], e[i-1]
 				i--
+			}
+			if fromTail && i < len(e)-1 {
+				t.rebuildSig()
 			}
 			t.maybeClear()
 			return
@@ -117,11 +158,16 @@ func (t *TNVTable) Add(v int64) {
 	// the clear part (the last entry). If the whole table is steady
 	// (Steady == Size) a full table has no eviction candidate: the
 	// value is counted as dropped and — having touched no entry — does
-	// not advance the clear clock.
-	if len(t.entries) < t.cfg.Size {
+	// not advance the clear clock. An append moves the old tail above
+	// the new one, so its bit joins the signature; an eviction replaces
+	// only the tail and leaves the signature alone.
+	if n := len(t.entries); n < t.cfg.Size {
+		if n > 0 {
+			t.sig |= sigBit(t.entries[n-1].Value)
+		}
 		t.entries = append(t.entries, TNVEntry{Value: v, Count: 1})
 	} else if t.cfg.Steady < t.cfg.Size {
-		t.entries[len(t.entries)-1] = TNVEntry{Value: v, Count: 1}
+		t.entries[n-1] = TNVEntry{Value: v, Count: 1}
 	} else {
 		t.dropped++
 		return
@@ -146,11 +192,10 @@ func (t *TNVTable) addHeadRun(run uint64) {
 		return
 	}
 	total := t.sinceClear + run
-	t.sinceClear = total % t.cfg.ClearInterval
-	if total >= t.cfg.ClearInterval && len(t.entries) > t.cfg.Steady {
-		t.entries = t.entries[:t.cfg.Steady]
-		t.clears++
+	if total >= t.cfg.ClearInterval {
+		t.clear()
 	}
+	t.sinceClear = total % t.cfg.ClearInterval
 }
 
 // maybeClear advances the periodic-clear clock by one update and, when
@@ -163,16 +208,26 @@ func (t *TNVTable) maybeClear() {
 		return
 	}
 	t.sinceClear++
-	if t.sinceClear < t.cfg.ClearInterval {
-		return
+	if t.sinceClear >= t.cfg.ClearInterval {
+		t.clear()
 	}
+}
+
+// clear restarts the clear clock and flushes the clear part, rebuilding
+// the signature over the steady entries that remain. Only a clear that
+// actually flushes entries counts: a table still within its steady part
+// has nothing to evict, and counting the no-op would make Clears()
+// overreport clearing activity. It runs once per ClearInterval updates;
+// keeping it out of line keeps maybeClear small enough to inline into
+// every update path.
+//
+//go:noinline
+func (t *TNVTable) clear() {
 	t.sinceClear = 0
-	// Only a clear that actually flushes entries counts: a table still
-	// within its steady part has nothing to evict, and counting the
-	// no-op would make Clears() overreport clearing activity.
 	if len(t.entries) > t.cfg.Steady {
 		t.entries = t.entries[:t.cfg.Steady]
 		t.clears++
+		t.rebuildSig()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"valueprof/internal/atomicio"
+	"valueprof/internal/core"
 )
 
 // cache is the content-addressed profile store: completed (never
@@ -14,11 +15,12 @@ import (
 // as atomically-written files under <dir>/cache/<hex>.json, which is
 // what makes a finished job's result survive a restart without rerun.
 type cache struct {
-	mu   sync.Mutex
-	dir  string // "" = memory only
-	mem  map[string][]byte
-	hits uint64
-	miss uint64
+	mu      sync.Mutex
+	dir     string // "" = memory only
+	mem     map[string][]byte
+	hits    uint64
+	miss    uint64
+	corrupt uint64 // disk entries the strict loader rejected and removed
 }
 
 func newCache(stateDir string) (*cache, error) {
@@ -37,24 +39,51 @@ func (c *cache) path(digest string) string {
 }
 
 // get returns the cached record bytes for digest, falling back to the
-// on-disk copy (and repopulating memory) when the entry predates this
-// process.
+// on-disk copy (see load) when the entry predates this process.
 func (c *cache) get(digest string) ([]byte, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.mem[digest]; ok {
+	b, ok := c.mem[digest]
+	c.mu.Unlock()
+	if !ok && c.dir != "" {
+		b, ok = c.load(digest)
+	}
+	c.mu.Lock()
+	if ok {
 		c.hits++
-		return b, true
+	} else {
+		c.miss++
 	}
-	if c.dir != "" {
-		if b, err := os.ReadFile(c.path(digest)); err == nil {
-			c.mem[digest] = b
-			c.hits++
-			return b, true
-		}
+	c.mu.Unlock()
+	return b, ok
+}
+
+// load reads digest's disk entry and checks it with the strict record
+// loader, outside c.mu so a slow read stalls no other lookup. A valid
+// entry repopulates memory. A damaged one (truncated, say) is removed
+// and counted as corrupt, and load reports a miss, so the caller
+// recomputes the entry and its put writes a good copy.
+func (c *cache) load(digest string) ([]byte, bool) {
+	path := c.path(digest)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false
 	}
-	c.miss++
-	return nil, false
+	_, err = core.ReadProfileRecord(bytesReader(b))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m, ok := c.mem[digest]; ok {
+		return m, true // a put landed while the file was read
+	}
+	if err != nil {
+		// With no entry in memory no put has rewritten the file since
+		// it was read, so this removes the damaged copy. If removal
+		// fails, the recomputed entry's put replaces the file anyway.
+		c.corrupt++
+		_ = os.Remove(path)
+		return nil, false
+	}
+	c.mem[digest] = b
+	return b, true
 }
 
 // put stores the record bytes under digest. Identical re-puts are

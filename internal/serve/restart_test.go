@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 )
@@ -175,5 +178,70 @@ func TestRestartConvergentRerunsFresh(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("rerun convergent result differs from oracle:\n got %.200s\nwant %.200s", got, want)
+	}
+}
+
+// TestRestartRecomputesCorruptCacheEntry: a job's cache file damaged
+// on disk between daemons (here truncated) is not served as a result.
+// The restarted daemon finds the entry invalid, drops it and reruns the
+// resubmitted job, and the result it serves is byte-identical to the
+// first daemon's.
+func TestRestartRecomputesCorruptCacheEntry(t *testing.T) {
+	req := loopRequest("dave", 500)
+	stateDir := t.TempDir()
+	opts := Options{Workers: 1, StateDir: stateDir}
+
+	s1, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs1 := httptest.NewServer(s1.Handler())
+	code, st := submitHTTP(t, hs1.URL, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	if final := waitTerminal(t, s1, st.ID); final.State != StateCompleted {
+		t.Fatalf("first job: %+v", final)
+	}
+	code, want := call(t, http.MethodGet, hs1.URL+"/v1/jobs/"+st.ID+"/result", nil)
+	if code != http.StatusOK {
+		t.Fatalf("first result: %d\n%s", code, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	err = s1.Shutdown(ctx)
+	cancel()
+	hs1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := s1.cache.path(st.Digest)
+	if err := os.Truncate(path, int64(len(want)/2)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, hs2 := newHTTPServer(t, opts)
+	code, st2 := submitHTTP(t, hs2.URL, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit over a truncated cache entry: %d (%+v), want a queued rerun", code, st2)
+	}
+	if final := waitTerminal(t, s2, st2.ID); final.State != StateCompleted {
+		t.Fatalf("rerun job: %+v", final)
+	}
+	code, got := call(t, http.MethodGet, hs2.URL+"/v1/jobs/"+st2.ID+"/result", nil)
+	if code != http.StatusOK {
+		t.Fatalf("rerun result: %d\n%s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("rerun result differs from the first daemon's:\n got %.200s\nwant %.200s", got, want)
+	}
+	s2.cache.mu.Lock()
+	corrupt := s2.cache.corrupt
+	s2.cache.mu.Unlock()
+	if corrupt != 1 {
+		t.Errorf("corrupt entries counted %d, want 1", corrupt)
+	}
+	if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, want) {
+		t.Errorf("cache file after the rerun: err=%v, whole=%v", err, bytes.Equal(disk, want))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"valueprof/internal/asm"
+	"valueprof/internal/core"
 )
 
 // TestDigestStability pins the digest format: any change to the
@@ -85,13 +86,29 @@ func TestProgramCanonicalization(t *testing.T) {
 	}
 }
 
+// testRecord returns a serialized one-site profile record: bytes the
+// strict loader accepts, as every real cache entry is.
+func testRecord(t *testing.T) []byte {
+	t.Helper()
+	cfg := core.DefaultTNVConfig()
+	s := core.NewSiteStats(3, "main+3", cfg, false)
+	for _, v := range []int64{7, 7, 1, 7} {
+		s.Observe(v)
+	}
+	var buf bytes.Buffer
+	if err := (&core.Profile{Sites: []*core.SiteStats{s}, K: cfg.Size}).Record("p", "i").WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestCacheDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := newCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := []byte(`{"fake":"record"}`)
+	rec := testRecord(t)
 	if err := c1.put("vpd1:abc123", rec); err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +129,40 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 	entries, hits, misses := c2.stats()
 	if entries != 1 || hits != 1 || misses != 1 {
 		t.Fatalf("stats entries=%d hits=%d misses=%d", entries, hits, misses)
+	}
+}
+
+// TestCacheDropsCorruptDiskEntry: a disk entry the strict loader
+// rejects is never served. The lookup reports a miss, counts the entry
+// as corrupt and removes the file.
+func TestCacheDropsCorruptDiskEntry(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := newCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord(t)
+	if err := c1.put("vpd1:abc123", rec); err != nil {
+		t.Fatal(err)
+	}
+	path := c1.path("vpd1:abc123")
+	if err := os.Truncate(path, int64(len(rec)/2)); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := newCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c2.get("vpd1:abc123"); ok {
+		t.Fatalf("truncated entry served: %.80s", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt entry still on disk: %v", err)
+	}
+	entries, hits, misses := c2.stats()
+	if entries != 0 || hits != 0 || misses != 1 || c2.corrupt != 1 {
+		t.Fatalf("stats entries=%d hits=%d misses=%d corrupt=%d", entries, hits, misses, c2.corrupt)
 	}
 }
 
