@@ -257,8 +257,9 @@ func benchSuiteProfiling(b *testing.B, workers int) {
 	b.ReportMetric(float64(len(jobs)), "jobs")
 }
 
-// BenchmarkSuiteProfilingSerial is the serial baseline of the recorded
-// BENCH_parallel.json comparison.
+// BenchmarkSuiteProfilingSerial profiles the 20 suite jobs on a
+// one-wide pool: the serial baseline the parallel variant is read
+// against.
 func BenchmarkSuiteProfilingSerial(b *testing.B) { benchSuiteProfiling(b, 1) }
 
 // BenchmarkSuiteProfilingParallel runs the same jobs on a

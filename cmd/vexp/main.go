@@ -9,17 +9,13 @@
 //	vexp -w compress,dictv e2
 //	vexp -jobs 4 e2 e3             # profile workloads on 4 workers
 //	vexp -retries 2 -job-deadline 2m -salvage-partial
-//	vexp -bench-parallel BENCH_parallel.json
 //	vexp -bench-vm BENCH_vm.json
 //	vexp -bench-vm-check BENCH_vm.json
 //	vexp -bench-diff OLD.json [NEW.json]
 //
 // -jobs sets the worker-pool width used both across experiments and
 // for the per-workload profiling runs inside each one; the output is
-// byte-identical to a serial run at any width. -bench-parallel times
-// the suite profiling pass serially and in parallel, cross-checks that
-// both produce identical profiles, and writes the timing report as
-// JSON (the repo's recorded benchmark baseline). -bench-vm records the
+// byte-identical to a serial run at any width. -bench-vm records the
 // interpreter hot-loop baseline (per-opcode dispatch, hooked vs
 // unhooked); -bench-vm-check re-measures and gates the hook-overhead
 // ratio and the hooked run's allocation count against that baseline
@@ -60,8 +56,6 @@ func main() {
 	jobDeadline := flag.Duration("job-deadline", 0, "wall-clock budget per experiment attempt (0 = none)")
 	salvage := flag.Bool("salvage-partial", false,
 		"keep going past failed experiments and report them at the end (exit 3) instead of aborting on the first")
-	benchOut := flag.String("bench-parallel", "",
-		"time the suite profiling pass serial vs parallel, write the JSON report here, and exit")
 	benchVM := flag.String("bench-vm", "",
 		"run the VM hot-loop benchmarks, write the JSON report here, and exit")
 	benchVMCheck := flag.String("bench-vm-check", "",
@@ -77,10 +71,6 @@ func main() {
 		return
 	}
 
-	if *benchOut != "" {
-		benchParallel(*benchOut, *jobs)
-		return
-	}
 	if *benchVM != "" {
 		benchVMRecord(*benchVM)
 		return
@@ -173,31 +163,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vexp: %d of %d experiments failed; partial results above\n", broken, len(toRun))
 		os.Exit(3)
 	}
-}
-
-// benchParallel runs the serial-vs-parallel suite benchmark and
-// records the report (the BENCH_parallel.json baseline).
-func benchParallel(path string, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// A one-wide "parallel" pass measures nothing: whenever the host
-	// has more than one CPU, record with a genuinely parallel pool.
-	if workers < 2 && runtime.NumCPU() > 1 {
-		workers = runtime.NumCPU()
-	}
-	rep, err := parallel.BenchSuite(context.Background(), workers, runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	if err != nil {
-		fatal(err)
-	}
-	err = atomicio.WriteFile(path, func(f io.Writer) error {
-		return rep.WriteJSON(f)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(rep.String())
-	fmt.Fprintf(os.Stderr, "vexp: wrote %s\n", path)
 }
 
 // benchVMRecord measures the interpreter hot path and records the

@@ -297,13 +297,9 @@ func instMode(rc *runCfg, w *workloads.Workload, in workloads.Input, prog *progr
 			rep.Pruned(), rep.Candidates, rep.Const, rep.Unreached, rep.Invariant,
 			rep.Pruned()*siteBytes, elapsed.Round(time.Microsecond))
 	}
-	vp, err := core.NewValueProfiler(opts)
-	if err != nil {
-		fatal(err)
-	}
-
 	var ck *core.Checkpoint
 	if rc.resume != "" {
+		var err error
 		ck, err = core.LoadCheckpoint(rc.resume)
 		if err != nil && rc.salvage {
 			// Damaged checkpoint under -salvage-partial: repair what the
@@ -330,43 +326,46 @@ func instMode(rc *runCfg, w *workloads.Workload, in workloads.Input, prog *progr
 			fatal(fmt.Errorf("vprof: loading checkpoint: %w", err))
 		}
 	}
-	if ck != nil {
-		// A checkpoint restores raw VM state; resuming it under a
-		// different program or input would execute garbage.
-		if ck.Program != w.Name || ck.Input != in.Name {
-			fatal(fmt.Errorf("vprof: checkpoint is for %s/%s, not %s/%s",
-				ck.Program, ck.Input, w.Name, in.Name))
-		}
-		if err := vp.Seed(ck); err != nil {
-			fatal(fmt.Errorf("vprof: resuming: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "vprof: resuming %s/%s from instruction %d (%d sites)\n",
-			ck.Program, ck.Input, ck.InstCount(), len(ck.Sites))
+	// A checkpoint restores raw VM state; resuming it under a different
+	// program or input would execute garbage.
+	if ck != nil && (ck.Program != w.Name || ck.Input != in.Name) {
+		fatal(fmt.Errorf("vprof: checkpoint is for %s/%s, not %s/%s",
+			ck.Program, ck.Input, w.Name, in.Name))
 	}
 
-	tools := []atom.Tool{atom.Tool(vp)}
+	// RunJob builds the tool once the checkpoint has seeded the
+	// profiler and restored the VM, just before the run starts.
 	var ckpt *core.Checkpointer
-	if rc.ckptPath != "" {
-		ckpt = core.NewCheckpointer(vp, rc.ckptPath, rc.ckptEvery, w.Name, in.Name)
-		tools = append(tools, ckpt)
-	}
-
-	runOpts := rc.opts
-	runOpts.Input = in.Args
-	v := atom.Prepare(prog, runOpts, tools...)
-	if ck != nil {
-		if err := ck.RestoreVM(v); err != nil {
-			fatal(fmt.Errorf("vprof: restoring VM state: %w", err))
+	tool := func(vp *core.ValueProfiler) atom.Tool {
+		if ck != nil {
+			fmt.Fprintf(os.Stderr, "vprof: resuming %s/%s from instruction %d (%d sites)\n",
+				ck.Program, ck.Input, ck.InstCount(), len(ck.Sites))
 		}
+		if rc.ckptPath == "" {
+			return nil
+		}
+		ckpt = core.NewCheckpointer(vp, rc.ckptPath, rc.ckptEvery, w.Name, in.Name)
+		return ckpt
 	}
-	outcome, err := v.RunControlled(rc.ctx)
-	res := vm.ResultOf(v, outcome)
-	warnPartial(outcome, err)
+	r := parallel.RunJob(rc.ctx, parallel.Job{Workload: w, Prog: prog, Input: in, Options: opts, Run: rc.opts},
+		parallel.Extras{Resume: ck, Tool: tool, Capture: rc.ckptPath != ""})
+	if r.Refused {
+		fatal(fmt.Errorf("vprof: %w", r.Err))
+	}
+	if r.Profile == nil {
+		fatal(r.Err)
+	}
+	outcome, res := r.Outcome, r.Exec
+	warnPartial(outcome, r.Err)
 
 	// A final snapshot salvages the interrupted run for -resume; taken
 	// before reporting so a crash while printing loses nothing.
 	if ckpt != nil && outcome != vm.OutcomeCompleted {
-		if err := ckpt.SnapshotNow(v); err != nil {
+		err := r.CaptureErr
+		if err == nil {
+			err = r.Checkpoint.SaveAtomic(rc.ckptPath)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "vprof: final checkpoint failed: %v\n", err)
 		} else {
 			fmt.Fprintf(os.Stderr, "vprof: checkpoint saved to %s; resume with -resume %s\n",
@@ -377,7 +376,7 @@ func instMode(rc *runCfg, w *workloads.Workload, in workloads.Input, prog *progr
 		fmt.Fprintf(os.Stderr, "vprof: warning: a checkpoint snapshot failed during the run: %v\n", ckpt.Err())
 	}
 
-	pr := vp.Profile()
+	pr := r.Profile
 	reportInst(w.Name+"/"+in.Name, pr, res, prog, top)
 
 	if outFile != "" {

@@ -6,6 +6,7 @@
 package clitest
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"valueprof/internal/core"
 )
 
 var binDir string
@@ -252,6 +255,91 @@ func TestVprofResumeRejectsNewerCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "newer than supported") {
 		t.Errorf("stderr missing version diagnostic:\n%s", stderr)
+	}
+}
+
+// TestVprofCheckpointResume pins vprof's single-run checkpoint
+// contract: a run stopped by -steps exits 125 and leaves a checkpoint,
+// resuming it produces a record byte-identical to an uninterrupted
+// run, and a checkpoint of another workload is refused.
+func TestVprofCheckpointResume(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "f.ckpt")
+	partial := filepath.Join(dir, "p.json")
+	_, stderr, code := run(t, "vprof", "-w", "compress", "-steps", "200000",
+		"-checkpoint", ckpt, "-o", partial)
+	if code != 125 {
+		t.Fatalf("stopped run: exit %d, want 125; stderr: %s", code, stderr)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("stopped run left no checkpoint: %v", err)
+	}
+
+	resumed := filepath.Join(dir, "r.json")
+	if _, stderr, code := run(t, "vprof", "-w", "compress", "-resume", ckpt, "-o", resumed); code != 0 {
+		t.Fatalf("resumed run: exit %d; stderr: %s", code, stderr)
+	}
+	ref := filepath.Join(dir, "ref.json")
+	if _, stderr, code := run(t, "vprof", "-w", "compress", "-o", ref); code != 0 {
+		t.Fatalf("reference run: exit %d; stderr: %s", code, stderr)
+	}
+	got, err := os.ReadFile(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("record of the resumed run differs from the uninterrupted run's")
+	}
+
+	_, stderr, code = run(t, "vprof", "-w", "dictv", "-resume", ckpt)
+	if code != 1 {
+		t.Fatalf("foreign checkpoint: exit %d, want 1; stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, "checkpoint is for compress/test, not dictv/test") {
+		t.Errorf("stderr missing the workload mismatch diagnostic:\n%s", stderr)
+	}
+}
+
+// TestVprofResumeRejectsUnreachableTNVState resumes from a checkpoint
+// whose CRC is valid but whose TNV table holds a state no run can
+// reach: one value twice, and a clear clock past its interval. vprof
+// must refuse it rather than write a record the strict loader rejects.
+func TestVprofResumeRejectsUnreachableTNVState(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "f.ckpt")
+	if _, stderr, code := run(t, "vprof", "-w", "compress", "-steps", "200000", "-checkpoint", ckpt); code != 125 {
+		t.Fatalf("stopped run: exit %d, want 125; stderr: %s", code, stderr)
+	}
+	ck, err := core.LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crafted := false
+	for i := range ck.Sites {
+		s := &ck.Sites[i]
+		if s.Exec >= 3 && s.TNV.Dropped == 0 {
+			s.TNV.Entries = []core.TNVEntry{{Value: 1, Count: 2}, {Value: 1, Count: 1}}
+			s.TNV.SinceClear = 5000
+			crafted = true
+			break
+		}
+	}
+	if !crafted {
+		t.Fatal("checkpoint has no site with three executions")
+	}
+	if err := ck.SaveAtomic(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := run(t, "vprof", "-w", "compress", "-resume", ckpt, "-o", filepath.Join(dir, "r.json"))
+	if code != 1 {
+		t.Fatalf("crafted checkpoint: exit %d, want 1; stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, "loading checkpoint") {
+		t.Errorf("stderr missing the checkpoint diagnostic:\n%s", stderr)
 	}
 }
 

@@ -319,7 +319,11 @@ func (ck *Checkpoint) validate() error {
 
 // validateSiteState enforces one site's internal invariants (PC,
 // counter bounds, TNV consistency) against the checkpoint's table
-// configuration.
+// configuration. The table must be one TNVTable.Add can reach: distinct
+// values with positive, non-increasing counts, and a clear clock below
+// ClearInterval (always 0 when clearing is off). A resumed run trusts
+// this state as is, and a table outside it would yield a record the
+// strict loader refuses.
 func validateSiteState(s *SiteState, cfg TNVConfig) error {
 	if s.PC < 0 {
 		return fmt.Errorf("site pc %d: negative pc", s.PC)
@@ -334,8 +338,23 @@ func validateSiteState(s *SiteState, cfg TNVConfig) error {
 		return fmt.Errorf("site pc %d: %d TNV entries exceed table size %d", s.PC, len(s.TNV.Entries), cfg.Size)
 	}
 	var sum uint64
-	for _, e := range s.TNV.Entries {
+	seen := make(map[int64]bool, len(s.TNV.Entries))
+	for i, e := range s.TNV.Entries {
+		if e.Count == 0 {
+			return fmt.Errorf("site pc %d: TNV value %d has count 0", s.PC, e.Value)
+		}
+		if i > 0 && e.Count > s.TNV.Entries[i-1].Count {
+			return fmt.Errorf("site pc %d: TNV counts ascend at entry %d", s.PC, i)
+		}
+		if seen[e.Value] {
+			return fmt.Errorf("site pc %d: duplicate TNV value %d", s.PC, e.Value)
+		}
+		seen[e.Value] = true
 		sum += e.Count
+	}
+	if s.TNV.SinceClear >= max(cfg.ClearInterval, 1) {
+		return fmt.Errorf("site pc %d: TNV clear clock %d not below interval %d",
+			s.PC, s.TNV.SinceClear, cfg.ClearInterval)
 	}
 	if s.TNV.Dropped > s.TNV.Updates || sum > s.TNV.Updates-s.TNV.Dropped {
 		return fmt.Errorf("site pc %d: TNV counts %d + dropped %d exceed updates %d",

@@ -153,6 +153,69 @@ func TestCheckpointRepairDropsInvalidSites(t *testing.T) {
 	}
 }
 
+// unreachableTNVCheckpoint returns a checkpoint envelope with a valid
+// CRC whose one site holds TNV state no table can reach: value 1 twice,
+// and a clear clock past ClearInterval. Resuming it would write a
+// record the strict loader refuses ("duplicate TNV value 1").
+func unreachableTNVCheckpoint() []byte {
+	var buf bytes.Buffer
+	WriteCheckpoint(&buf, &Checkpoint{Program: "p", Input: "i", TNV: DefaultTNVConfig(),
+		Sites: []SiteState{{PC: 3, Name: "main+3", Exec: 3, TNV: TNVState{
+			Entries: []TNVEntry{{Value: 1, Count: 2}, {Value: 1, Count: 1}}, Updates: 3, SinceClear: 5000,
+		}}}})
+	return buf.Bytes()
+}
+
+// TestCheckpointRejectsUnreachableTNVState feeds both loaders sites
+// whose counters balance but whose table TNVTable.Add cannot produce.
+// The strict loader must refuse each, and RepairDrop must drop just
+// that site.
+func TestCheckpointRejectsUnreachableTNVState(t *testing.T) {
+	if _, err := ReadCheckpoint(bytes.NewReader(unreachableTNVCheckpoint())); err == nil {
+		t.Error("strict loader accepted a repeated TNV value with the clear clock past its interval")
+	}
+
+	reachable := SiteState{PC: 3, Name: "main+3", Exec: 3, TNV: TNVState{
+		Entries: []TNVEntry{{Value: 1, Count: 2}, {Value: 2, Count: 1}}, Updates: 3, SinceClear: 3,
+	}}
+	for _, tc := range []struct {
+		name     string
+		interval uint64
+		mutate   func(s *TNVState)
+	}{
+		{"reachable", 2000, func(s *TNVState) {}},
+		{"repeated value", 2000, func(s *TNVState) { s.Entries[1].Value = 1 }},
+		{"zero count", 2000, func(s *TNVState) { s.Entries = []TNVEntry{{Value: 1, Count: 3}, {Value: 2, Count: 0}} }},
+		{"ascending counts", 2000, func(s *TNVState) { s.Entries = []TNVEntry{{Value: 1, Count: 1}, {Value: 2, Count: 2}} }},
+		{"clock at interval", 2000, func(s *TNVState) { s.SinceClear = 2000 }},
+		{"clock without clearing", 0, func(s *TNVState) {}},
+	} {
+		site := reachable
+		site.TNV.Entries = append([]TNVEntry(nil), reachable.TNV.Entries...)
+		tc.mutate(&site.TNV)
+		cfg := DefaultTNVConfig()
+		cfg.ClearInterval = tc.interval
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, &Checkpoint{Program: "p", Input: "i", TNV: cfg, Sites: []SiteState{site}}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+		if tc.name == "reachable" {
+			if err != nil {
+				t.Fatalf("reachable state refused: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: strict loader accepted %+v", tc.name, site.TNV)
+		}
+		ck, rep, err := ReadCheckpointPolicy(bytes.NewReader(buf.Bytes()), RepairDrop)
+		if err != nil || rep.SitesDropped != 1 || len(ck.Sites) != 0 {
+			t.Errorf("%s: repair loader: err %v, report %+v", tc.name, err, rep)
+		}
+	}
+}
+
 // TestResumeAfterMidWriteCorruption is the end-to-end satellite: a run
 // dies, its sidecar checkpoint is damaged mid-write, and the resume
 // path degrades to a fresh run via the repair loader instead of

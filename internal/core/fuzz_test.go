@@ -165,12 +165,13 @@ func compareLoaders(t testing.TB, data []byte, policy RepairPolicy) (*ProfileRec
 // reported resumable must restore into a small VM without a panic.
 // The seed corpus (testdata/fuzz/FuzzReadCheckpointPolicy) holds a
 // checkpoint of a 64 KiB-memory run, one without VM state, and a
-// version-1 envelope.
+// version-1 envelope; unreachableTNVCheckpoint is added from code.
 func FuzzReadCheckpointPolicy(f *testing.F) {
 	prog, err := asm.Assemble(ckptSrc)
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(unreachableTNVCheckpoint())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inputs := [][]byte{data}
 		if sealed, ok := reseal(data); ok {
@@ -233,6 +234,8 @@ var tnvFuzzDomain = [32]int64{
 // At the split point each table is round-tripped through
 // siteState→restoreSite and then Clone before the stream continues, so
 // a signature either path leaves stale shows up as a duplicate entry.
+// The checkpoint validator must accept every state it round-trips: a
+// check that refuses a reachable table would make a resume fail.
 //
 // The arguments decode to a configuration (Size 1–12, Steady 0–Size,
 // ClearInterval 0–31), a stream over tnvFuzzDomain, the split point as
@@ -250,6 +253,12 @@ func FuzzTNVAdd(f *testing.F) {
 		cut := int(split) * len(vals) / 255
 		roundTrip := func(s *SiteStats) *SiteStats {
 			st := siteState(s)
+			// The Add loop drives the table, not the site counters.
+			checked := st
+			checked.Exec = st.TNV.Updates
+			if err := validateSiteState(&checked, cfg); err != nil {
+				t.Fatalf("%+v: reachable state refused: %v", cfg, err)
+			}
 			r := restoreSite(&st, cfg)
 			r.TNV = r.TNV.Clone()
 			return r

@@ -11,6 +11,7 @@ import (
 	"valueprof/internal/parallel"
 	"valueprof/internal/program"
 	"valueprof/internal/vm"
+	"valueprof/internal/workloads"
 )
 
 // The random-sampled run's rate and seed (see checkRandom).
@@ -434,14 +435,14 @@ func (h *harness) checkShardMerge(ref, ref2 *RefProfiler, input, input2 []int64)
 	}
 	concat := vpConcat.Profile()
 
-	jobs := []parallel.ProgJob{
-		{Name: h.name + "/shard0", Prog: h.prog, Input: input, Options: wide,
+	jobs := []parallel.Job{
+		{Prog: h.prog, Input: workloads.Input{Name: h.name + "/shard0", Args: input}, Options: wide,
 			Run: atom.RunOptions{StepLimit: h.opts.StepLimit}},
-		{Name: h.name + "/shard1", Prog: h.prog, Input: input2, Options: wide,
+		{Prog: h.prog, Input: workloads.Input{Name: h.name + "/shard1", Args: input2}, Options: wide,
 			Run: atom.RunOptions{StepLimit: h.opts.StepLimit}},
 	}
-	results := parallel.RunProgs(context.Background(), h.opts.Workers, jobs)
-	merged, err := parallel.MergeProgShards(results)
+	results := parallel.Run(context.Background(), h.opts.Workers, jobs)
+	merged, err := parallel.MergeShards(results)
 	if err != nil {
 		h.fail(prop, -1, "shard run failed: %v", err)
 		return

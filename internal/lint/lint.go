@@ -34,13 +34,17 @@
 // handler reports errors over the wire; only a command's main may end
 // the process), and may not run guest code itself: vm.New/vm.NewSized,
 // atom.Prepare, and core.NewValueProfiler are banned there just as in
-// the pool package, and so are parallel.AcquireVM and atom.PrepareOn,
-// because every sub-run goes through internal/supervise — the one
-// attempt loop — and a VM acquired or instrumented in serve would be
-// the start of a second one. Only the config probe's
-// parallel.AcquireProfiler stays. Raw destructive writes are covered
-// by the first rule, which applies to every tree vvet runs over — make
-// lint runs it on internal/serve.
+// the pool package. Only the config probe's parallel.AcquireProfiler
+// stays. Raw destructive writes are covered by the first rule, which
+// applies to every tree vvet runs over — make lint runs it on
+// internal/serve.
+//
+// Fifth, in every tree vvet runs over, parallel.AcquireVM and
+// atom.PrepareOn may be called only in internal/parallel's runjob.go,
+// the home of parallel.RunJob, and arena.go. RunJob is the one run
+// path: a profiled run that acquires or instruments a VM anywhere else
+// is the start of a second one. Inside internal/parallel the rule also
+// covers the arena's own AcquireVM method.
 package lint
 
 import (
@@ -94,11 +98,49 @@ var arenaBanned = map[string]string{
 	"core.NewValueProfiler": "acquire per-job profilers through the arena (AcquireProfiler) so pooling cannot silently regress",
 }
 
-// serveBanned maps the calls that would grow a second run loop in the
-// daemon, which runs every sub-run through internal/supervise.
-var serveBanned = map[string]string{
-	"parallel.AcquireVM": "run sub-runs through internal/supervise; serve must not grow a second attempt loop",
-	"atom.PrepareOn":     "run sub-runs through internal/supervise; serve must not grow a second attempt loop",
+// runPathBanned maps the calls that start a profiled run by hand to
+// the reason they belong to parallel.RunJob alone.
+var runPathBanned = map[string]string{
+	"parallel.AcquireVM": "run jobs through parallel.RunJob, the one run path; only it acquires VMs",
+	"atom.PrepareOn":     "run jobs through parallel.RunJob, the one run path; only it instruments VMs",
+}
+
+// runPathFile reports whether path is one of the two files allowed to
+// acquire and instrument VMs: internal/parallel's runjob.go and
+// arena.go, however the tree is rooted.
+func runPathFile(path string) bool {
+	if filepath.Base(filepath.Dir(path)) != "parallel" {
+		return false
+	}
+	base := filepath.Base(path)
+	return base == "runjob.go" || base == "arena.go"
+}
+
+// runPathViolation flags a call that acquires or instruments a VM
+// outside the run path: parallel.AcquireVM or atom.PrepareOn through
+// the file's import names, or, in a pool file, the arena's AcquireVM
+// called unqualified or as a method.
+func runPathViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[string]string, poolFile bool) *Finding {
+	name := ""
+	switch fn := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		if pkg, ok := fn.X.(*ast.Ident); ok {
+			if canonical, ok := importNames[pkg.Name]; ok {
+				qualified := canonical + "." + fn.Sel.Name
+				if reason, ok := runPathBanned[qualified]; ok {
+					return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
+				}
+				return nil
+			}
+		}
+		name = fn.Sel.Name
+	case *ast.Ident:
+		name = fn.Name
+	}
+	if poolFile && name == "AcquireVM" {
+		return &Finding{Pos: fset.Position(call.Pos()), Call: "parallel.AcquireVM", Msg: runPathBanned["parallel.AcquireVM"]}
+	}
+	return nil
 }
 
 // serveScoped reports whether path falls under the daemon rule: a
@@ -113,8 +155,8 @@ func serveScoped(path string) bool {
 
 // serveViolation flags daemon-scoped calls: os.Exit anywhere in serve
 // code (handlers report errors over the wire, they never end the
-// process), the same arena-bypassing constructors the pool rule bans,
-// and the VM setup that belongs to internal/supervise.
+// process) and the same arena-bypassing constructors the pool rule
+// bans.
 func serveViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[string]string, osName string) *Finding {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -137,9 +179,6 @@ func serveViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[str
 	}
 	qualified := canonical + "." + sel.Sel.Name
 	if reason, ok := arenaBanned[qualified]; ok {
-		return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
-	}
-	if reason, ok := serveBanned[qualified]; ok {
 		return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
 	}
 	return nil
@@ -213,8 +252,8 @@ func CheckFile(fset *token.FileSet, fpath string) ([]Finding, error) {
 	}
 
 	// Resolve which local name refers to the os package ("" if the file
-	// never imports it), and — for arena- and serve-scoped files —
-	// which local names refer to the per-job state packages.
+	// never imports it), and which local names refer to the per-job
+	// state packages.
 	osName := ""
 	poolImports := map[string]string{}
 	for _, imp := range file.Imports {
@@ -235,9 +274,17 @@ func CheckFile(fset *token.FileSet, fpath string) ([]Finding, error) {
 	}
 	poolFile := arenaScoped(fpath)
 	serveFile := serveScoped(fpath)
+	runPath := runPathFile(fpath)
 
 	var out []Finding
 	ast.Inspect(file, func(n ast.Node) bool {
+		if !runPath {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if f := runPathViolation(fset, call, poolImports, poolFile); f != nil {
+					out = append(out, *f)
+				}
+			}
+		}
 		if poolFile {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if f := arenaViolation(fset, call, poolImports); f != nil {

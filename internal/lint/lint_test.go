@@ -164,6 +164,54 @@ func buffers(n int) ([][]byte, []int) {
 	}
 }
 
+func TestRunPathRule(t *testing.T) {
+	// A supervise attempt that acquires and instruments its own VM is a
+	// second run path; so is a command that instruments one.
+	attempt := `package supervise
+
+import (
+	"valueprof/internal/atom"
+	pool "valueprof/internal/parallel"
+)
+
+func attempt(prog *Program, vp *Profiler) {
+	v := pool.AcquireVM(prog, 0)
+	atom.PrepareOn(v, atom.RunOptions{}, vp)
+	pool.ReleaseVM(v)
+}
+`
+	fs := checkAt(t, "internal/supervise/supervise.go", attempt)
+	if len(fs) != 2 || fs[0].Call != "parallel.AcquireVM" || fs[1].Call != "atom.PrepareOn" {
+		t.Errorf("supervise findings = %v, want parallel.AcquireVM and atom.PrepareOn", fs)
+	}
+	if fs := checkAt(t, "cmd/vprof/main.go", attempt); len(fs) != 2 {
+		t.Errorf("cmd findings = %v, want 2", fs)
+	}
+	if fs := checkAt(t, "internal/supervise/supervise_test.go", attempt); len(fs) != 0 {
+		t.Errorf("test-file findings = %v, want none", fs)
+	}
+
+	// Inside the pool package only RunJob's file acquires a VM from the
+	// shared arena.
+	job := `package parallel
+
+import "valueprof/internal/atom"
+
+func RunJob(prog *Program, vp *Profiler) {
+	v := shared.AcquireVM(prog, 0)
+	atom.PrepareOn(v, atom.RunOptions{}, vp)
+	shared.ReleaseVM(v)
+}
+`
+	if fs := checkAt(t, "internal/parallel/runjob.go", job); len(fs) != 0 {
+		t.Errorf("runjob.go findings = %v, want none", fs)
+	}
+	fs = checkAt(t, "internal/parallel/parallel.go", job)
+	if len(fs) != 2 || fs[0].Call != "parallel.AcquireVM" || fs[1].Call != "atom.PrepareOn" {
+		t.Errorf("parallel.go findings = %v, want parallel.AcquireVM and atom.PrepareOn", fs)
+	}
+}
+
 func TestFlagsServeViolations(t *testing.T) {
 	// The negative fixture: a serve handler that kills the process,
 	// constructs its own VM and profiler, runs an attempt on an arena
@@ -292,6 +340,22 @@ func TestCheckTreeCleanOnParallel(t *testing.T) {
 	root := filepath.Join("..", "parallel")
 	if _, err := os.Stat(root); err != nil {
 		t.Skip("internal/parallel not present")
+	}
+	fs, err := CheckTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fs {
+		t.Errorf("unexpected finding: %s", f)
+	}
+}
+
+func TestCheckTreeCleanOnSupervise(t *testing.T) {
+	// The retry loop runs every attempt through parallel.RunJob (make
+	// lint runs this tree).
+	root := filepath.Join("..", "supervise")
+	if _, err := os.Stat(root); err != nil {
+		t.Skip("internal/supervise not present")
 	}
 	fs, err := CheckTree(root)
 	if err != nil {

@@ -6,10 +6,11 @@
 // pool throughput stops paying the allocator. Reused instances are
 // observably identical to fresh ones — byte identity of profiles is
 // pinned by internal/difftest's fresh-vs-reused property and by the
-// BenchSuite serial-vs-parallel cross-check.
+// suite's byte identity across pool widths (parallel_test.go).
 //
 // This file is the only place in the package allowed to allocate
-// per-job VM state (internal/lint enforces it): job bodies go through
+// per-job VM state, and with RunJob's file the only place a VM is
+// acquired (internal/lint enforces both): job bodies go through
 // Acquire/Release so the optimization cannot silently regress.
 package parallel
 
@@ -22,27 +23,23 @@ import (
 )
 
 // Arena recycles per-job VMs and profilers. The zero value is ready to
-// use; a nil *Arena disables reuse and allocates fresh instances
-// (the unpooled baseline the allocation benchmarks measure against).
+// use.
 type Arena struct {
 	vms   sync.Pool // *vm.VM
 	profs sync.Pool // *core.ValueProfiler
 }
 
-// shared is the package-wide arena behind Run, RunProgs, and the
-// exported Acquire/Release helpers (internal/supervise reuses attempt
-// state through them).
+// shared is the package-wide arena behind RunJob and the exported
+// Acquire/Release helpers.
 var shared Arena
 
 // AcquireVM returns a VM in the initial state for prog with memSize
 // bytes of guest memory — a recycled instance rewound with ResetFor
 // when one is pooled, a fresh one otherwise.
 func (a *Arena) AcquireVM(prog *program.Program, memSize int) *vm.VM {
-	if a != nil {
-		if v, ok := a.vms.Get().(*vm.VM); ok {
-			v.ResetFor(prog, memSize)
-			return v
-		}
+	if v, ok := a.vms.Get().(*vm.VM); ok {
+		v.ResetFor(prog, memSize)
+		return v
 	}
 	return vm.NewSized(prog, memSize)
 }
@@ -51,7 +48,7 @@ func (a *Arena) AcquireVM(prog *program.Program, memSize int) *vm.VM {
 // result it needs (vm.ResultOf copies); instrumentation is stripped
 // immediately so a pooled VM does not retain the job's profiler.
 func (a *Arena) ReleaseVM(v *vm.VM) {
-	if a == nil || v == nil {
+	if v == nil {
 		return
 	}
 	v.ClearHooks()
@@ -62,14 +59,12 @@ func (a *Arena) ReleaseVM(v *vm.VM) {
 // AcquireProfiler returns a profiler for opts — a recycled instance
 // rewound with ResetFor when one is pooled, a fresh one otherwise.
 func (a *Arena) AcquireProfiler(opts core.Options) (*core.ValueProfiler, error) {
-	if a != nil {
-		if p, ok := a.profs.Get().(*core.ValueProfiler); ok {
-			if err := p.ResetFor(opts); err != nil {
-				a.profs.Put(p)
-				return nil, err
-			}
-			return p, nil
+	if p, ok := a.profs.Get().(*core.ValueProfiler); ok {
+		if err := p.ResetFor(opts); err != nil {
+			a.profs.Put(p)
+			return nil, err
 		}
+		return p, nil
 	}
 	return core.NewValueProfiler(opts)
 }
@@ -78,7 +73,7 @@ func (a *Arena) AcquireProfiler(opts core.Options) (*core.ValueProfiler, error) 
 // its Profile first; the profile's sites stay valid (ResetFor on the
 // next acquisition abandons rather than recycles them).
 func (a *Arena) ReleaseProfiler(p *core.ValueProfiler) {
-	if a == nil || p == nil {
+	if p == nil {
 		return
 	}
 	a.profs.Put(p)

@@ -5,6 +5,11 @@
 // regardless of which worker finished first, which is what keeps a
 // parallel suite run byte-identical to the serial one.
 //
+// RunJob runs one job, and is the one place a VM is acquired and
+// instrumented for a profiled run: Run maps it over a batch,
+// internal/supervise calls it once per attempt, and vprof's single run
+// calls it directly.
+//
 // Cancellation and failure follow the RunOutcome salvage contract of
 // internal/atom: a cancelled context stops in-flight runs at the next
 // quantum boundary (their partial profiles remain salvageable), and
@@ -22,6 +27,7 @@ import (
 
 	"valueprof/internal/atom"
 	"valueprof/internal/core"
+	"valueprof/internal/program"
 	"valueprof/internal/vm"
 	"valueprof/internal/workloads"
 )
@@ -29,7 +35,11 @@ import (
 // Job is one independent (workload, input, options) profiling run.
 type Job struct {
 	Workload *workloads.Workload
-	Input    workloads.Input
+	// Prog, when set, is run instead of compiling Workload, which may
+	// then be nil: callers that hold a program rather than a registered
+	// workload (generated programs, a daemon's submissions) set it.
+	Prog  *program.Program
+	Input workloads.Input
 	// Options configures the job's private value profiler.
 	Options core.Options
 	// Run carries the control-plane settings (deadline, step limit,
@@ -37,8 +47,14 @@ type Job struct {
 	Run atom.RunOptions
 }
 
-// Name labels the job for reports and errors.
-func (j *Job) Name() string { return j.Workload.Name + "/" + j.Input.Name }
+// Name labels the job for reports and errors: workload/input, or the
+// input's name alone for a job without a workload.
+func (j *Job) Name() string {
+	if j.Workload == nil {
+		return j.Input.Name
+	}
+	return j.Workload.Name + "/" + j.Input.Name
+}
 
 // Result is one job's outcome. Profile is non-nil whenever the run
 // started, even if it ended early — the salvage path — and Err is
@@ -60,92 +76,22 @@ type Result struct {
 }
 
 // Run executes jobs on at most workers goroutines (≤ 0 selects
-// GOMAXPROCS) and returns one Result per job, in job order. It never
-// fails as a whole: per-job errors are captured in the results.
-// Per-job VMs and profilers are recycled through the package arena;
-// RunUnpooled is the fresh-allocation variant.
+// GOMAXPROCS) and returns one Result per job, in job order: Map over
+// RunJob. It never fails as a whole: per-job errors are captured in
+// the results.
 func Run(ctx context.Context, workers int, jobs []Job) []Result {
-	return run(ctx, workers, jobs, &shared)
-}
-
-// RunUnpooled is Run without allocation reuse: every job allocates a
-// fresh VM and profiler. It exists as the baseline the allocation
-// benchmarks measure the arena against (BenchSuite records both) and
-// as an escape hatch; its results are byte-identical to Run's.
-func RunUnpooled(ctx context.Context, workers int, jobs []Job) []Result {
-	return run(ctx, workers, jobs, nil)
-}
-
-func run(ctx context.Context, workers int, jobs []Job, ar *Arena) []Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]Result, len(jobs))
-	var next sync.Mutex
-	cursor := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				i := cursor
-				cursor++
-				next.Unlock()
-				if i >= len(jobs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = Result{Job: jobs[i], Index: i, Outcome: vm.OutcomeCancelled, Skipped: true,
-						Err: fmt.Errorf("parallel: %s not dispatched: %w", jobs[i].Name(), err)}
-					continue
-				}
-				results[i] = runOne(ctx, jobs[i], i, ar)
-			}
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
-// runOne executes a single job in isolation: its own profiler, its own
-// VM (acquired from ar, or fresh when ar is nil), shared (read-only)
-// program.
-func runOne(ctx context.Context, job Job, index int, ar *Arena) Result {
-	r := Result{Job: job, Index: index}
-	prog, err := job.Workload.Compile()
-	if err != nil {
-		r.Outcome, r.Err = vm.OutcomeFaulted, err
+	return Map(workers, len(jobs), func(i int) Result {
+		if err := ctx.Err(); err != nil {
+			return Result{Job: jobs[i], Index: i, Outcome: vm.OutcomeCancelled, Skipped: true,
+				Err: fmt.Errorf("parallel: %s not dispatched: %w", jobs[i].Name(), err)}
+		}
+		r := RunJob(ctx, jobs[i], Extras{}).Result
+		r.Index = i
 		return r
-	}
-	vp, err := ar.AcquireProfiler(job.Options)
-	if err != nil {
-		r.Outcome, r.Err = vm.OutcomeFaulted, err
-		return r
-	}
-	opts := job.Run
-	opts.Input = job.Input.Args
-	v := ar.AcquireVM(prog, opts.EffectiveMemSize())
-	atom.PrepareOn(v, opts, vp)
-	outcome, err := v.RunControlled(ctx)
-	res := vm.ResultOf(v, outcome)
-	ar.ReleaseVM(v)
-	r.Profile = vp.Profile()
-	ar.ReleaseProfiler(vp)
-	r.Exec = res
-	r.Outcome = outcome
-	r.Err = err
-	if err == nil && job.Input.Want != "" && res.Output != job.Input.Want {
-		r.Err = fmt.Errorf("parallel: %s output mismatch:\n got %q\nwant %q", job.Name(), res.Output, job.Input.Want)
-	}
-	return r
+	})
 }
 
 // FirstError returns the lowest-index non-nil job error, wrapped with

@@ -30,16 +30,30 @@ func suiteJobs(t *testing.T) []Job {
 	return jobs
 }
 
+// fullSuite is every workload × both inputs under full-time
+// all-instruction profiling: the 20 jobs of a vprof suite pass.
+func fullSuite() []Job {
+	var jobs []Job
+	for _, w := range workloads.All() {
+		for _, in := range w.Inputs() {
+			jobs = append(jobs, Job{Workload: w, Input: in, Options: core.DefaultOptions()})
+		}
+	}
+	return jobs
+}
+
+// jobRecord serializes one job result's profile record, the
+// byte-identity currency of the width tests.
 func jobRecord(t *testing.T, r Result) []byte {
 	t.Helper()
 	if r.Err != nil {
 		t.Fatalf("job %s: %v", r.Job.Name(), r.Err)
 	}
-	b, err := recordBytes(r)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := r.Profile.Record(r.Job.Workload.Name, r.Job.Input.Name).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return buf.Bytes()
 }
 
 // The pool contract: any worker count yields byte-identical profiles
@@ -176,28 +190,58 @@ func TestMapOrdering(t *testing.T) {
 	}
 }
 
-// The benchmark harness must agree with itself: identical records,
-// positive timings, sane speedup arithmetic.
-func TestBenchSuiteSmoke(t *testing.T) {
+// Every job of the suite must produce the same record bytes on a
+// two-wide pool as serially.
+func TestSuiteRecordsIdenticalAcrossWidths(t *testing.T) {
 	if testing.Short() {
-		t.Skip("suite benchmark is slow")
+		t.Skip("two suite passes are slow")
 	}
-	rep, err := BenchSuite(context.Background(), 2, 1, 1)
+	jobs := fullSuite()
+	if len(jobs) != 20 {
+		t.Fatalf("suite has %d jobs, want 20", len(jobs))
+	}
+	serial := Run(context.Background(), 1, jobs)
+	want := make([][]byte, len(jobs))
+	for i := range serial {
+		want[i] = jobRecord(t, serial[i])
+	}
+	serial = nil
+	par := Run(context.Background(), 2, jobs)
+	for i := range jobs {
+		if !bytes.Equal(jobRecord(t, par[i]), want[i]) {
+			t.Errorf("job %s: two-wide record differs from the serial one", jobs[i].Name())
+		}
+	}
+}
+
+// maxPooledAllocsPerJob bounds a suite job's allocations on a warm
+// pool. The arena keeps it near 26; a job that allocates its VM and
+// profiler fresh makes about 440.
+const maxPooledAllocsPerJob = 64
+
+// A warm pool must keep recycling VMs and profilers: a run path that
+// stops going through the arena multiplies a job's allocations.
+func TestPooledSuiteAllocsPerJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two suite passes are slow")
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random share of Puts")
+	}
+	jobs := fullSuite()
+	var err error
+	perRun := testing.AllocsPerRun(1, func() {
+		if e := FirstError(Run(context.Background(), 1, jobs)); e != nil {
+			err = e
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Identical {
-		t.Error("bench reported divergent records")
-	}
-	if rep.Jobs == 0 || rep.SerialMS <= 0 || rep.ParallelMS <= 0 || rep.Speedup <= 0 {
-		t.Errorf("degenerate bench report: %+v", rep)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"speedup"`)) {
-		t.Error("report JSON lacks the speedup field")
+	perJob := perRun / float64(len(jobs))
+	t.Logf("%.1f allocations per job on a warm pool", perJob)
+	if perJob > maxPooledAllocsPerJob {
+		t.Errorf("%.1f allocations per job on a warm pool, want ≤ %d", perJob, maxPooledAllocsPerJob)
 	}
 }
 

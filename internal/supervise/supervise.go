@@ -38,6 +38,7 @@ import (
 	"valueprof/internal/parallel"
 	"valueprof/internal/program"
 	"valueprof/internal/vm"
+	"valueprof/internal/workloads"
 )
 
 // Class classifies one attempt's ending, deciding what the supervisor
@@ -202,9 +203,10 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Job is one supervised profiling run. Unlike parallel.Job it holds
-// the program directly, so the compile step (a permanent failure when
-// it breaks) happens once, before supervision starts.
+// Job is one supervised profiling run. It always holds the program,
+// which a parallel.Job may leave to its workload, so the compile step
+// (a permanent failure when it breaks) happens once, before
+// supervision starts.
 type Job struct {
 	// Name labels the program for records and errors; InputName labels
 	// the input.
@@ -520,8 +522,6 @@ func CanResume(opts core.Options) bool {
 // checkpoint when possible, and captures a fresh checkpoint when the
 // run stops early.
 func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carried []byte, rep *JobReport) *attemptOut {
-	a := &attemptOut{}
-
 	// Decode the carried checkpoint through the same strict integrity
 	// gate the on-disk loader uses; damage, or a checkpoint of another
 	// program or input, demotes this attempt to a fresh start.
@@ -535,29 +535,61 @@ func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carr
 		}
 	}
 
-	// Attempt state comes from the shared parallel arena: retries of
-	// the same job (and successive jobs on the same worker) reuse the
-	// VM memory image and profiler maps instead of reallocating them.
-	vp, err := parallel.AcquireProfiler(job.Options)
-	if err != nil {
-		a.outcome, a.err, a.permanent = vm.OutcomeFaulted, err, true
+	r := s.run(job, index, attempt, start, resume)
+	if r.Refused {
+		// A checkpoint that passed its CRC but does not seed the
+		// profiler or restore the VM is as good as corrupt. Nothing ran
+		// and no tool was built, so the same attempt starts fresh.
+		rep.CorruptCheckpoints++
+		resume = nil
+		r = s.run(job, index, attempt, start, nil)
+	}
+
+	a := &attemptOut{outcome: r.Outcome, err: r.Err}
+	if r.Exec == nil {
+		// The profiler rejected the job's options: setup, not the run.
+		a.permanent = true
 		return a
 	}
 	if resume != nil {
-		if err := vp.Seed(resume); err != nil {
-			// A checkpoint that passed CRC but mismatches the profiler
-			// configuration is as good as corrupt.
-			rep.CorruptCheckpoints++
-			resume = nil
-			if err := vp.ResetFor(job.Options); err != nil {
-				a.outcome, a.err, a.permanent = vm.OutcomeFaulted, err, true
-				return a
+		a.base = resume.InstCount()
+		a.resumed = true
+		rep.Resumed++
+	}
+	a.exec = r.Exec
+	a.profile = r.Profile
+	a.inst = r.Exec.InstCount
+	a.faultPC = r.PC
+	a.atLimit = r.Outcome == vm.OutcomeLimit && a.inst >= job.stepLimit()
+	if r.Outcome == vm.OutcomeCompleted && job.Want != "" && a.exec.Output != job.Want {
+		a.err = fmt.Errorf("supervise: %s output mismatch:\n got %q\nwant %q", job.label(), a.exec.Output, job.Want)
+		a.permanent = true
+	}
+
+	// Hand the salvage checkpoint to the next attempt. The bytes go
+	// through the real serializer, so what the hooks see — and the
+	// chaos harness corrupts — is exactly what a disk write holds.
+	if r.Checkpoint != nil {
+		r.Checkpoint.Program = job.Name
+		var buf bytes.Buffer
+		if core.WriteCheckpoint(&buf, r.Checkpoint) == nil {
+			a.ck = buf.Bytes()
+			if s.policy.Hooks != nil {
+				a.ck = s.policy.Hooks.MangleCheckpoint(index, attempt, a.ck)
 			}
 		}
 	}
+	return a
+}
 
+// run is one call of parallel.RunJob for an attempt, under the
+// attempt's deadline and instruction budget (counted from the resume
+// point), with the hooks' tool attached and a checkpoint captured if
+// the run stops early. Attempt state comes from the shared parallel
+// arena, so retries of the same job, and successive jobs on the same
+// worker, reuse the VM memory image and profiler maps.
+func (s *supervisor) run(job *Job, index, attempt int, start time.Time, resume *core.Checkpoint) parallel.Ran {
 	opts := job.Run
-	opts.Input = job.Input
 	deadline := opts.Deadline
 	if s.policy.AttemptDeadline > 0 {
 		d := time.Now().Add(s.policy.AttemptDeadline)
@@ -572,78 +604,30 @@ func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carr
 		}
 	}
 	opts.Deadline = deadline
-	if resume != nil {
-		a.base = resume.InstCount()
-	}
 	if s.policy.AttemptSteps > 0 {
-		limit := a.base + s.policy.AttemptSteps
+		var base uint64
+		if resume != nil {
+			base = resume.InstCount()
+		}
+		limit := base + s.policy.AttemptSteps
 		if opts.StepLimit == 0 || limit < opts.StepLimit {
 			opts.StepLimit = limit
 		}
 	}
-
-	tools := []atom.Tool{atom.Tool(vp)}
+	x := parallel.Extras{Resume: resume, Capture: true}
 	if s.policy.Hooks != nil {
-		if t := s.policy.Hooks.AttemptTool(index, attempt, vp); t != nil {
-			tools = append(tools, t)
+		x.Tool = func(vp *core.ValueProfiler) atom.Tool {
+			return s.policy.Hooks.AttemptTool(index, attempt, vp)
 		}
 	}
-	v := parallel.AcquireVM(job.Prog, opts.EffectiveMemSize())
-	atom.PrepareOn(v, opts, tools...)
-	if resume != nil {
-		if err := resume.RestoreVM(v); err != nil {
-			// Machine state decoded but won't restore: treat like
-			// corruption and restart the attempt from scratch. The
-			// half-restored VM rewinds through the same reuse lifecycle
-			// a pooled VM does.
-			rep.CorruptCheckpoints++
-			if err := vp.ResetFor(job.Options); err != nil {
-				parallel.ReleaseVM(v)
-				a.outcome, a.err, a.permanent = vm.OutcomeFaulted, err, true
-				return a
-			}
-			a.base = 0
-			resume = nil
-			v.ResetFor(job.Prog, opts.EffectiveMemSize())
-			atom.PrepareOn(v, opts, tools...)
-		} else {
-			a.resumed = true
-			rep.Resumed++
-		}
-	}
-
-	outcome, err := v.RunControlled(s.ctx)
-	a.outcome, a.err = outcome, err
-	a.exec = vm.ResultOf(v, outcome)
-	a.profile = vp.Profile()
-	a.inst = v.InstCount
-	a.faultPC = v.PC
-	a.atLimit = outcome == vm.OutcomeLimit && v.InstCount >= job.stepLimit()
-	if outcome == vm.OutcomeCompleted && job.Want != "" && a.exec.Output != job.Want {
-		a.err = fmt.Errorf("supervise: %s output mismatch:\n got %q\nwant %q", job.label(), a.exec.Output, job.Want)
-		a.permanent = true
-	}
-
-	// Capture the salvage checkpoint for the next attempt. The bytes
-	// go through the real serializer, so what the hooks see — and the
-	// chaos harness corrupts — is exactly what a disk write holds.
-	if outcome != vm.OutcomeCompleted {
-		if ck, err := core.CheckpointOf(vp, v, job.Name, job.InputName); err == nil {
-			var buf bytes.Buffer
-			if core.WriteCheckpoint(&buf, ck) == nil {
-				a.ck = buf.Bytes()
-				if s.policy.Hooks != nil {
-					a.ck = s.policy.Hooks.MangleCheckpoint(index, attempt, a.ck)
-				}
-			}
-		}
-	}
-	// Everything the attempt hands back (exec summary, profile,
-	// checkpoint bytes) is copied or extracted; the VM and profiler go
-	// back to the arena for the next attempt or job.
-	parallel.ReleaseVM(v)
-	parallel.ReleaseProfiler(vp)
-	return a
+	// The job's Want is checked by attempt, so a mismatch reads as the
+	// supervisor's error.
+	return parallel.RunJob(s.ctx, parallel.Job{
+		Prog:    job.Prog,
+		Input:   workloads.Input{Name: job.InputName, Args: job.Input},
+		Options: job.Options,
+		Run:     opts,
+	}, x)
 }
 
 // classify decides what one attempt's ending means for the job.

@@ -158,20 +158,7 @@ func TestJobCheckpointResumesFirstAttempt(t *testing.T) {
 	// the first attempt; one taken from another input is refused like a
 	// corrupt one.
 	want := cleanBaseline(t)
-	var saved []byte
-	chaos := &scriptedChaos{
-		tools: map[[2]int]atom.Tool{
-			{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
-		},
-		mangle: func(job, attempt int, data []byte) []byte {
-			saved = data
-			return data
-		},
-	}
-	Run(context.Background(), 1, []Job{loopJob(t)}, Policy{Hooks: chaos})
-	if saved == nil {
-		t.Fatal("the failed attempt handed its hooks no checkpoint")
-	}
+	saved := savedCheckpoint(t)
 
 	job := loopJob(t)
 	job.Checkpoint = saved
@@ -214,6 +201,85 @@ func TestCorruptCheckpointDemotesToFreshStart(t *testing.T) {
 	}
 	if got := recordBytes(t, r); !bytes.Equal(got, want) {
 		t.Error("post-corruption retry profile differs from fault-free run")
+	}
+}
+
+// countingHooks counts AttemptTool calls per attempt and disturbs
+// nothing.
+type countingHooks struct{ calls map[int]int }
+
+func (h *countingHooks) AttemptTool(_, attempt int, _ *core.ValueProfiler) atom.Tool {
+	h.calls[attempt]++
+	return nil
+}
+
+func (h *countingHooks) MangleCheckpoint(_, _ int, data []byte) []byte { return data }
+
+// savedCheckpoint returns the checkpoint loopJob's attempt hands its
+// hooks when a fault kills it at instruction 1500.
+func savedCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	var saved []byte
+	chaos := &scriptedChaos{
+		tools: map[[2]int]atom.Tool{
+			{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
+		},
+		mangle: func(job, attempt int, data []byte) []byte {
+			saved = data
+			return data
+		},
+	}
+	Run(context.Background(), 1, []Job{loopJob(t)}, Policy{Hooks: chaos})
+	if saved == nil {
+		t.Fatal("the failed attempt handed its hooks no checkpoint")
+	}
+	return saved
+}
+
+// refusableCheckpoint returns savedCheckpoint rewritten after mutate
+// with a valid CRC, and checks the strict loader still accepts it.
+func refusableCheckpoint(t *testing.T, mutate func(*core.Checkpoint)) []byte {
+	t.Helper()
+	ck, err := core.ReadCheckpoint(bytes.NewReader(savedCheckpoint(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(ck)
+	var buf bytes.Buffer
+	if err := core.WriteCheckpoint(&buf, ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.ReadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("rewritten checkpoint fails the strict loader: %v", err)
+	}
+	return buf.Bytes()
+}
+
+func TestRefusedCheckpointRunsAttemptFresh(t *testing.T) {
+	// A checkpoint that passes its CRC and invariants but that the
+	// profiler will not be seeded with (another TNV configuration), or
+	// that the VM will not restore from (memory that decompresses
+	// short), counts as corrupt. The same attempt then runs fresh, with
+	// its tool built once, to the fault-free record.
+	want := cleanBaseline(t)
+	for name, mutate := range map[string]func(*core.Checkpoint){
+		"another TNV config": func(c *core.Checkpoint) { c.TNV.Size = 12 },
+		"short memory":       func(c *core.Checkpoint) { c.VM.MemLen += 4096 },
+	} {
+		job := loopJob(t)
+		job.Checkpoint = refusableCheckpoint(t, mutate)
+		hooks := &countingHooks{calls: map[int]int{}}
+		r := Run(context.Background(), 1, []Job{job}, Policy{Resume: true, Hooks: hooks}).Jobs[0]
+		if r.State != StateCompleted || r.Attempts != 1 || r.CorruptCheckpoints != 1 || r.Resumed != 0 {
+			t.Fatalf("%s: state %v attempts %d corrupt %d resumed %d err %v, want completed 1 1 0",
+				name, r.State, r.Attempts, r.CorruptCheckpoints, r.Resumed, r.Err)
+		}
+		if hooks.calls[1] != 1 {
+			t.Errorf("%s: AttemptTool called %d times for the attempt, want 1", name, hooks.calls[1])
+		}
+		if got := recordBytes(t, &r); !bytes.Equal(got, want) {
+			t.Errorf("%s: profile after the refusal differs from the fault-free run", name)
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ package valueprof
 import (
 	"context"
 	"io"
-	"runtime"
 
 	"valueprof/internal/asm"
 	"valueprof/internal/atom"
@@ -49,7 +48,6 @@ import (
 	"valueprof/internal/program"
 	"valueprof/internal/regprof"
 	"valueprof/internal/specialize"
-	"valueprof/internal/supervise"
 	"valueprof/internal/trace"
 	"valueprof/internal/trivprof"
 	"valueprof/internal/vm"
@@ -150,10 +148,6 @@ type ParallelJob = parallel.Job
 // error, at the job's index.
 type ParallelResult = parallel.Result
 
-// ParallelBenchReport records one serial-vs-parallel timing of the
-// suite profiling pass.
-type ParallelBenchReport = parallel.BenchReport
-
 // RunParallel executes independent profiling jobs on at most workers
 // goroutines (≤ 0 selects GOMAXPROCS); results come back in job order
 // and are byte-identical to a serial run.
@@ -164,58 +158,7 @@ func RunParallel(ctx context.Context, workers int, jobs []ParallelJob) []Paralle
 // FirstParallelError returns the lowest-index job error, or nil.
 func FirstParallelError(results []ParallelResult) error { return parallel.FirstError(results) }
 
-// MergeShards folds shard profiles of the same program into one via
-// Profile.Merge.
-func MergeShards(results []ParallelResult) (*Profile, error) { return parallel.MergeShards(results) }
-
-// BenchParallelSuite times the workload-suite profiling pass serially
-// and on a workers-wide pool, verifying both produce identical
-// profiles.
-func BenchParallelSuite(ctx context.Context, workers int) (*ParallelBenchReport, error) {
-	return parallel.BenchSuite(ctx, workers, runtime.NumCPU(), runtime.GOMAXPROCS(0))
-}
-
-// ---- supervised (retrying, budgeted) profiling ----
-
-// SupervisePolicy bounds and shapes a supervised job's attempts:
-// retries, per-attempt deadlines and step budgets, total wall-clock
-// budget, deterministic backoff, checkpoint resume, partial-profile
-// salvage, and the failure circuit breaker.
-type SupervisePolicy = supervise.Policy
-
-// SupervisedJob is one supervised profiling run (program, input,
-// options, control settings).
-type SupervisedJob = supervise.Job
-
-// SuperviseJobReport is one supervised job's outcome: final state,
-// failure class, attempt/resume counts, and the profile when usable.
-type SuperviseJobReport = supervise.JobReport
-
-// SuperviseReport is the outcome of one supervised batch.
-type SuperviseReport = supervise.Report
-
-// SupervisedJobOf converts a pool job into a supervised one, compiling
-// its workload up front.
-func SupervisedJobOf(j ParallelJob) (SupervisedJob, error) { return supervise.JobOf(j) }
-
-// RunSupervised executes jobs under policy on at most workers
-// goroutines: failed attempts are classified and retried (resuming
-// from checkpoints when possible), budgets enforced, and partial
-// profiles salvaged per the policy. See docs/robustness.md.
-func RunSupervised(ctx context.Context, workers int, jobs []SupervisedJob, policy SupervisePolicy) *SuperviseReport {
-	return supervise.Run(ctx, workers, jobs, policy)
-}
-
-// SuperviseDoResult reports a generic supervised call's attempt count
-// and final error.
-type SuperviseDoResult = supervise.DoResult
-
-// SuperviseDo retries an arbitrary function under the policy's
-// attempt, backoff, and budget rules (the non-VM sibling of
-// RunSupervised; vexp wraps whole experiments with it).
-func SuperviseDo(ctx context.Context, policy SupervisePolicy, fn func(ctx context.Context, attempt int) error) SuperviseDoResult {
-	return supervise.Do(ctx, policy, fn)
-}
+// ---- profile records ----
 
 // ProfileRecord is the serialized (JSON) form of a profiling run.
 type ProfileRecord = core.ProfileRecord
