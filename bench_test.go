@@ -269,9 +269,9 @@ func BenchmarkSuiteProfilingParallel(b *testing.B) {
 	benchSuiteProfiling(b, runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkProfileMerge measures folding two single-input profiles of
-// one workload into the combined-run profile.
-func BenchmarkProfileMerge(b *testing.B) {
+// BenchmarkMergeRecords measures folding the records of two
+// single-input runs of one workload into the combined-run record.
+func BenchmarkMergeRecords(b *testing.B) {
 	w, err := valueprof.WorkloadByName("mcsim")
 	if err != nil {
 		b.Fatal(err)
@@ -286,9 +286,11 @@ func BenchmarkProfileMerge(b *testing.B) {
 	if err := valueprof.FirstParallelError(results); err != nil {
 		b.Fatal(err)
 	}
+	test := results[0].Profile.Record(w.Name, results[0].Job.Input.Name)
+	train := results[1].Profile.Record(w.Name, results[1].Job.Input.Name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := results[0].Profile.Merge(results[1].Profile); err != nil {
+		if _, err := valueprof.MergeRecords(test, train); err != nil {
 			b.Fatal(err)
 		}
 	}

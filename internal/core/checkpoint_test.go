@@ -289,7 +289,4 @@ func TestMergeRecords(t *testing.T) {
 	if _, err := MergeRecords(a, &ProfileRecord{Program: "q", K: 3}); err == nil {
 		t.Error("different programs merged")
 	}
-	if _, err := MergeRecords(a, &ProfileRecord{Program: "p", K: 5}); err == nil {
-		t.Error("different widths merged")
-	}
 }

@@ -232,8 +232,8 @@ var tnvFuzzDomain = [32]int64{
 // with refTNV, the update rule the signature replaced: entries in
 // order, updates, dropped, clears and the clear clock must all match.
 // At the split point each table is round-tripped through
-// siteState→restoreSite and then Clone before the stream continues, so
-// a signature either path leaves stale shows up as a duplicate entry.
+// siteState→restoreSite before the stream continues, so a signature
+// the restore leaves stale shows up as a duplicate entry.
 // The checkpoint validator must accept every state it round-trips: a
 // check that refuses a reachable table would make a resume fail.
 //
@@ -259,9 +259,7 @@ func FuzzTNVAdd(f *testing.F) {
 			if err := validateSiteState(&checked, cfg); err != nil {
 				t.Fatalf("%+v: reachable state refused: %v", cfg, err)
 			}
-			r := restoreSite(&st, cfg)
-			r.TNV = r.TNV.Clone()
-			return r
+			return restoreSite(&st, cfg)
 		}
 
 		ref := &refTNV{cfg: cfg}

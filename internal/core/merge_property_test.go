@@ -30,78 +30,92 @@ func randShard(r *rand.Rand, cfg core.TNVConfig, trackFull bool) *core.Profile {
 }
 
 // mustMerge merges or fails the test.
-func mustMerge(t *testing.T, a, b *core.Profile) *core.Profile {
+func mustMerge(t *testing.T, a, b *core.ProfileRecord) *core.ProfileRecord {
 	t.Helper()
-	m, err := a.Merge(b)
+	m, err := core.MergeRecords(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-// profilesEqual compares the externally observable per-site state two
-// merge orders must agree on (counters, TNV content, ground truth).
-func profilesEqual(t *testing.T, label string, a, b *core.Profile) {
-	t.Helper()
-	if a.K != b.K || a.Skipped != b.Skipped || a.Pruned != b.Pruned || len(a.Sites) != len(b.Sites) {
-		t.Fatalf("%s: profile headers differ: %v vs %v", label, a, b)
+// deepCopy copies a record down to its Top slices.
+func deepCopy(r *core.ProfileRecord) *core.ProfileRecord {
+	out := *r
+	out.Sites = append([]core.SiteRecord(nil), r.Sites...)
+	for i := range out.Sites {
+		out.Sites[i].Top = append([]core.TNVEntry(nil), r.Sites[i].Top...)
 	}
-	for i, sa := range a.Sites {
-		sb := b.Sites[i]
-		if sa.PC != sb.PC || sa.Name != sb.Name || sa.Exec != sb.Exec ||
-			sa.LVPHits != sb.LVPHits || sa.Zeros != sb.Zeros || sa.Skipped != sb.Skipped {
-			t.Fatalf("%s: site %d counters differ: %+v vs %+v", label, sa.PC, sa, sb)
-		}
-		if !reflect.DeepEqual(sa.TNV.Top(a.K), sb.TNV.Top(b.K)) {
-			t.Fatalf("%s: site %d TNV differs: %v vs %v", label, sa.PC, sa.TNV.Top(a.K), sb.TNV.Top(b.K))
-		}
-		if (sa.Full == nil) != (sb.Full == nil) {
-			t.Fatalf("%s: site %d ground truth presence differs", label, sa.PC)
-		}
-		if sa.Full != nil {
-			if sa.Full.Total() != sb.Full.Total() ||
-				!reflect.DeepEqual(sa.Full.Top(sa.Full.Distinct()), sb.Full.Top(sb.Full.Distinct())) {
-				t.Fatalf("%s: site %d full profiles differ", label, sa.PC)
-			}
-		}
+	return &out
+}
+
+// recordsEqual compares what two merge orders must agree on: the
+// sites with their counters and TNV tables, Skipped and K. Input and
+// Merged name the merge order, so they differ.
+func recordsEqual(t *testing.T, label string, a, b *core.ProfileRecord) {
+	t.Helper()
+	if a.K != b.K || a.Skipped != b.Skipped {
+		t.Fatalf("%s: K/Skipped %d/%d vs %d/%d", label, a.K, a.Skipped, b.K, b.Skipped)
+	}
+	if !reflect.DeepEqual(a.Sites, b.Sites) {
+		t.Fatalf("%s: sites differ:\n%+v\n%+v", label, a.Sites, b.Sites)
 	}
 }
 
-// With ground truth on and tables wide enough that nothing is evicted
-// or cleared, merging is exact — so it must be commutative and
-// associative in every observable counter.
+// With tables wide enough that nothing is evicted or cleared, merging
+// is exact — so it must be commutative and associative in every
+// counter and table, and leave its inputs as they were.
 func TestMergeCommutativeAssociative(t *testing.T) {
 	cfg := core.TNVConfig{Size: 10, Steady: 5} // domain has 8 values: no eviction
 	for trial := 0; trial < 20; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)*271 + 17))
-		a := randShard(r, cfg, true)
-		b := randShard(r, cfg, true)
-		c := randShard(r, cfg, true)
+		a := randShard(r, cfg, false).Record("p", "a")
+		b := randShard(r, cfg, false).Record("p", "b")
+		c := randShard(r, cfg, false).Record("p", "c")
+		before := []*core.ProfileRecord{deepCopy(a), deepCopy(b), deepCopy(c)}
 
-		profilesEqual(t, fmt.Sprintf("trial %d commutativity", trial),
+		recordsEqual(t, fmt.Sprintf("trial %d commutativity", trial),
 			mustMerge(t, a, b), mustMerge(t, b, a))
-		profilesEqual(t, fmt.Sprintf("trial %d associativity", trial),
+		recordsEqual(t, fmt.Sprintf("trial %d associativity", trial),
 			mustMerge(t, mustMerge(t, a, b), c),
 			mustMerge(t, a, mustMerge(t, b, c)))
 
-		// Merge allocates a fresh profile; the shards must be reusable.
-		profilesEqual(t, fmt.Sprintf("trial %d input purity", trial), a, a.Clone())
+		// A merge's sites share the inputs' Top slices, so a write
+		// through them would show here.
+		for i, in := range []*core.ProfileRecord{a, b, c} {
+			if !reflect.DeepEqual(in, before[i]) {
+				t.Fatalf("trial %d: merging modified input %d", trial, i)
+			}
+		}
 	}
 }
 
-// The TNV estimate must remain an underestimate of the exact profile
-// after merging: merged Inv-Top(k) ≤ merged Inv-All(k) per site.
+// The merged TNV estimate must stay an underestimate of the truth:
+// merged Inv-Top(k) never exceeds the Inv-All(k) of the shards' summed
+// full profiles, even under a table that evicts and clears.
 func TestMergedInvTopBelowInvAll(t *testing.T) {
 	cfg := core.TNVConfig{Size: 4, Steady: 2, ClearInterval: 50} // tight: evicts and clears
 	for trial := 0; trial < 20; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)*977 + 3))
-		m := mustMerge(t, randShard(r, cfg, true), randShard(r, cfg, true))
-		for _, s := range m.Sites {
-			if s.Exec == 0 || s.Full == nil {
-				continue
+		pa, pb := randShard(r, cfg, true), randShard(r, cfg, true)
+		m := mustMerge(t, pa.Record("p", "a"), pb.Record("p", "b"))
+		for i := range m.Sites {
+			s := &m.Sites[i]
+			truth := core.NewFullProfile()
+			for _, shard := range []*core.Profile{pa, pb} {
+				if ss := shard.Site(s.PC); ss != nil {
+					for _, e := range ss.Full.Top(ss.Full.Distinct()) {
+						for n := uint64(0); n < e.Count; n++ {
+							truth.Add(e.Value)
+						}
+					}
+				}
+			}
+			if truth.Total() != s.Exec {
+				t.Fatalf("trial %d site %s: merged exec %d, summed full profiles %d", trial, s.Name, s.Exec, truth.Total())
 			}
 			for _, k := range []int{1, cfg.Size} {
-				if it, ia := s.InvTop(k), s.InvAll(k); it > ia+1e-12 {
+				if it, ia := s.InvTop(k), truth.InvAll(k); it > ia+1e-12 {
 					t.Errorf("trial %d site %s: merged InvTop(%d)=%v exceeds InvAll(%d)=%v",
 						trial, s.Name, k, it, k, ia)
 				}
@@ -110,52 +124,47 @@ func TestMergedInvTopBelowInvAll(t *testing.T) {
 	}
 }
 
-// The acceptance property of the parallel engine: profiling each input
-// in its own shard and merging must equal the one concatenated run on
-// every exact counter (executions, zeros, ground truth), with LVP off
-// by at most the unknowable splice-boundary hit and TNV counts never
-// exceeding the true counts.
+// The acceptance property of sharded profiling: recording each input
+// in its own shard and merging the records must equal the one
+// concatenated run on every exact counter (executions, zeros), with
+// LVP short by at most the unknowable splice-boundary hit and TNV
+// counts never exceeding the true counts.
 func TestShardedMergeEqualsConcatenatedRun(t *testing.T) {
 	ws := workloads.All()
 	if len(ws) < 3 {
 		t.Fatalf("suite too small: %d workloads", len(ws))
 	}
-	opts := core.Options{TNV: core.DefaultTNVConfig(), TrackFull: true}
 	for _, w := range ws[:3] {
 		prog, err := w.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		shard := func(in workloads.Input) *core.Profile {
+		// run profiles the inputs back to back on one profiler.
+		run := func(opts core.Options, ins ...workloads.Input) *core.Profile {
 			vp, err := core.NewValueProfiler(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := atom.Run(prog, in.Args, false, vp); err != nil {
-				t.Fatalf("%s/%s: %v", w.Name, in.Name, err)
+			for _, in := range ins {
+				if _, err := atom.Run(prog, in.Args, false, vp); err != nil {
+					t.Fatalf("%s/%s: %v", w.Name, in.Name, err)
+				}
 			}
 			return vp.Profile()
 		}
-		merged := mustMerge(t, shard(w.Test), shard(w.Train))
+		opts := core.Options{TNV: core.DefaultTNVConfig()}
+		merged := mustMerge(t,
+			run(opts, w.Test).Record(w.Name, w.Test.Name),
+			run(opts, w.Train).Record(w.Name, w.Train.Name))
+		opts.TrackFull = true
+		concat := run(opts, w.Test, w.Train)
 
-		// One profiler over both inputs back to back accumulates the
-		// concatenated run.
-		vp, err := core.NewValueProfiler(opts)
-		if err != nil {
-			t.Fatal(err)
+		if n := len(concat.Record(w.Name, "concat").Sites); len(merged.Sites) != n {
+			t.Fatalf("%s: merged %d sites, concatenated %d", w.Name, len(merged.Sites), n)
 		}
-		for _, in := range w.Inputs() {
-			if _, err := atom.Run(prog, in.Args, false, vp); err != nil {
-				t.Fatalf("%s/%s: %v", w.Name, in.Name, err)
-			}
-		}
-		concat := vp.Profile()
-
-		if len(merged.Sites) != len(concat.Sites) {
-			t.Fatalf("%s: merged %d sites, concatenated %d", w.Name, len(merged.Sites), len(concat.Sites))
-		}
-		for _, ms := range merged.Sites {
+		for i := range merged.Sites {
+			ms := &merged.Sites[i]
 			cs := concat.Site(ms.PC)
 			if cs == nil {
 				t.Fatalf("%s: site %d missing from concatenated run", w.Name, ms.PC)
@@ -164,15 +173,11 @@ func TestShardedMergeEqualsConcatenatedRun(t *testing.T) {
 				t.Errorf("%s site %s: merged exec/zeros %d/%d, concatenated %d/%d",
 					w.Name, ms.Name, ms.Exec, ms.Zeros, cs.Exec, cs.Zeros)
 			}
-			if ms.Full.Total() != cs.Full.Total() ||
-				!reflect.DeepEqual(ms.Full.Top(ms.Full.Distinct()), cs.Full.Top(cs.Full.Distinct())) {
-				t.Errorf("%s site %s: merged ground truth differs from concatenated run", w.Name, ms.Name)
-			}
 			if ms.LVPHits > cs.LVPHits || cs.LVPHits-ms.LVPHits > 1 {
 				t.Errorf("%s site %s: merged LVP hits %d vs concatenated %d (allowed gap ≤ 1)",
 					w.Name, ms.Name, ms.LVPHits, cs.LVPHits)
 			}
-			for _, e := range ms.TNV.Top(merged.K) {
+			for _, e := range ms.Top {
 				if truth := cs.Full.Count(e.Value); e.Count > truth {
 					t.Errorf("%s site %s: merged TNV count %d for value %d exceeds true count %d",
 						w.Name, ms.Name, e.Count, e.Value, truth)

@@ -67,7 +67,14 @@ func TestClearsCountOnlyFlushes(t *testing.T) {
 	}
 }
 
-// --- TNV merge ---
+// --- record merge (MergeRecords) ---
+
+// tableRecord is a one-site record of program "p" holding t's entries
+// under table width k.
+func tableRecord(t *TNVTable, k int) *ProfileRecord {
+	return &ProfileRecord{Program: "p", Input: "x", K: k, Sites: []SiteRecord{
+		{PC: 1, Name: "f+1", Exec: t.Updates(), Dropped: t.Dropped(), Top: t.Top(k)}}}
+}
 
 func TestTNVMergeUnion(t *testing.T) {
 	cfg := TNVConfig{Size: 10, Steady: 5}
@@ -79,11 +86,13 @@ func TestTNVMergeUnion(t *testing.T) {
 	for _, v := range []int64{1, 1, 3, 3, 3, 3, 3, 3, 3} {
 		b.Add(v)
 	}
-	if err := a.Merge(b); err != nil {
+	m, err := MergeRecords(tableRecord(a, cfg.Size), tableRecord(b, cfg.Size))
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Values 1 and 3 tie at 7: the lower value sorts first.
 	want := []TNVEntry{{Value: 1, Count: 7}, {Value: 3, Count: 7}, {Value: 2, Count: 3}}
-	got := a.Top(10)
+	got := m.Sites[0].Top
 	if len(got) != len(want) {
 		t.Fatalf("merged entries %v, want %v", got, want)
 	}
@@ -92,117 +101,69 @@ func TestTNVMergeUnion(t *testing.T) {
 			t.Errorf("entry %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if a.Updates() != 17 {
-		t.Errorf("merged updates %d, want 17", a.Updates())
+	if m.Sites[0].Exec != 17 {
+		t.Errorf("merged exec %d, want 17", m.Sites[0].Exec)
 	}
 }
 
-func TestTNVMergeRejectsConfigMismatch(t *testing.T) {
-	a := NewTNV(TNVConfig{Size: 10, Steady: 5})
-	b := NewTNV(TNVConfig{Size: 8, Steady: 4})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge across configs did not fail")
-	}
-}
-
+// Truncation keeps the K highest counts, and a count tie at the cut
+// keeps the lower value.
 func TestTNVMergeTruncatesToSize(t *testing.T) {
-	cfg := TNVConfig{Size: 2, Steady: 0}
-	a := NewTNV(cfg)
-	a.Add(1)
-	a.Add(2)
-	b := NewTNV(cfg)
-	b.Add(3)
-	b.Add(3)
-	b.Add(2)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
+	rec := func(top []TNVEntry) *ProfileRecord {
+		var exec uint64
+		for _, e := range top {
+			exec += e.Count
+		}
+		return &ProfileRecord{Program: "p", K: 2, Sites: []SiteRecord{{PC: 1, Name: "f+1", Exec: exec, Top: top}}}
 	}
-	got := a.Top(10)
-	want := []TNVEntry{{Value: 2, Count: 2}, {Value: 3, Count: 2}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("merged truncated table %v, want %v", got, want)
-	}
-}
-
-func TestTNVMergeFoldsClearPhase(t *testing.T) {
-	cfg := TNVConfig{Size: 4, Steady: 2, ClearInterval: 10}
-	a := NewTNV(cfg)
-	b := NewTNV(cfg)
-	for i := 0; i < 7; i++ {
-		a.Add(int64(i))
-		b.Add(int64(i))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	// 7 + 7 = 14 updates since the last clear, folded modulo 10: the
-	// merge itself must not have triggered a clear.
-	if a.Clears() != 0 {
-		t.Errorf("merge triggered %d clears", a.Clears())
-	}
-	if a.sinceClear != 4 {
-		t.Errorf("merged sinceClear %d, want 4", a.sinceClear)
+	for _, c := range []struct {
+		a, b, want []TNVEntry
+	}{
+		{
+			a:    []TNVEntry{{Value: 1, Count: 1}, {Value: 2, Count: 1}},
+			b:    []TNVEntry{{Value: 3, Count: 2}, {Value: 2, Count: 1}},
+			want: []TNVEntry{{Value: 2, Count: 2}, {Value: 3, Count: 2}},
+		},
+		{
+			a:    []TNVEntry{{Value: 4, Count: 3}, {Value: 9, Count: 1}},
+			b:    []TNVEntry{{Value: 2, Count: 1}},
+			want: []TNVEntry{{Value: 4, Count: 3}, {Value: 2, Count: 1}},
+		},
+	} {
+		m, err := MergeRecords(rec(c.a), rec(c.b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Sites[0].Top; len(got) != 2 || got[0] != c.want[0] || got[1] != c.want[1] {
+			t.Errorf("merging %v and %v under K=2: %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }
-
-// --- site merge ---
 
 func TestSiteMergeCounters(t *testing.T) {
-	cfg := TNVConfig{Size: 10, Steady: 5}
-	a := NewSiteStats(7, "f+7", cfg, true)
-	observeAll(a, 0, 5, 5, 5)
-	a.Skipped = 3
-	b := NewSiteStats(7, "f+7", cfg, true)
-	observeAll(b, 5, 0, 0)
-	b.Skipped = 2
-
-	if err := a.Merge(b); err != nil {
+	// A full, fully-steady table drops every miss, so both sides carry
+	// a Dropped count.
+	cfg := TNVConfig{Size: 2, Steady: 2}
+	a := &Profile{K: cfg.Size, Skipped: 3, Sites: []*SiteStats{siteWith(7, "f+7", cfg, 0, 5, 5, 5, 7)}}
+	b := &Profile{K: cfg.Size, Skipped: 2, Sites: []*SiteStats{siteWith(7, "f+7", cfg, 5, 0, 0, 9)}}
+	m, err := MergeRecords(a.Record("p", "a"), b.Record("p", "b"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Exec != 7 || a.Zeros != 3 || a.Skipped != 5 {
-		t.Errorf("merged exec/zeros/skipped = %d/%d/%d, want 7/3/5", a.Exec, a.Zeros, a.Skipped)
+	s := m.Sites[0]
+	if s.Exec != 9 || s.Zeros != 3 || s.Dropped != 2 || m.Skipped != 5 {
+		t.Errorf("merged exec/zeros/dropped/skipped = %d/%d/%d/%d, want 9/3/2/5", s.Exec, s.Zeros, s.Dropped, m.Skipped)
 	}
-	// a scored 2 LVP hits (5,5 then 5), b scored 1 (0 then 0).
-	if a.LVPHits != 3 {
-		t.Errorf("merged LVP hits %d, want 3", a.LVPHits)
+	// a scored 2 LVP hits (5,5 then 5), b scored 1 (0 then 0); the
+	// splice (a's last 7, b's first 5) is not seen.
+	if s.LVPHits != 3 {
+		t.Errorf("merged LVP hits %d, want 3", s.LVPHits)
 	}
-	if a.Full == nil || a.Full.Total() != 7 || a.Full.Count(5) != 4 || a.Full.Count(0) != 3 {
-		t.Errorf("merged full profile wrong: %+v", a.Full)
-	}
-	// Last-value state adopts the later shard's.
-	if !a.hasLast || a.last != 0 {
-		t.Errorf("merged last = (%d,%v), want (0,true)", a.last, a.hasLast)
-	}
-}
-
-func TestSiteMergeDropsPartialGroundTruth(t *testing.T) {
-	cfg := TNVConfig{Size: 10, Steady: 5}
-	a := NewSiteStats(1, "f+1", cfg, true)
-	observeAll(a, 1)
-	b := NewSiteStats(1, "f+1", cfg, false)
-	observeAll(b, 2)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Full != nil {
-		t.Error("merge kept a partial full profile")
+	want := []TNVEntry{{Value: 5, Count: 4}, {Value: 0, Count: 3}}
+	if len(s.Top) != 2 || s.Top[0] != want[0] || s.Top[1] != want[1] {
+		t.Errorf("merged top %v, want %v", s.Top, want)
 	}
 }
-
-func TestSiteMergeRejectsMismatch(t *testing.T) {
-	cfg := TNVConfig{Size: 10, Steady: 5}
-	a := NewSiteStats(1, "f+1", cfg, false)
-	b := NewSiteStats(2, "f+2", cfg, false)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging different pcs did not fail")
-	}
-	c := NewSiteStats(1, "g+1", cfg, false)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merging conflicting names did not fail")
-	}
-}
-
-// --- profile merge ---
 
 func siteWith(pc int, name string, cfg TNVConfig, vals ...int64) *SiteStats {
 	s := NewSiteStats(pc, name, cfg, false)
@@ -212,34 +173,28 @@ func siteWith(pc int, name string, cfg TNVConfig, vals ...int64) *SiteStats {
 
 func TestProfileMergeSharedAndUnique(t *testing.T) {
 	cfg := TNVConfig{Size: 10, Steady: 5}
-	a := &Profile{
+	a := (&Profile{
 		K:       cfg.Size,
 		Skipped: 4,
-		Pruned:  2,
 		Sites: []*SiteStats{
 			siteWith(1, "f+1", cfg, 9, 9),
 			siteWith(3, "f+3", cfg, 1),
 		},
-	}
-	b := &Profile{
+	}).Record("p", "a")
+	b := (&Profile{
 		K:       cfg.Size,
 		Skipped: 6,
-		Pruned:  2,
 		Sites: []*SiteStats{
 			siteWith(2, "f+2", cfg, 5),
 			siteWith(3, "f+3", cfg, 9, 1),
 		},
-	}
-	m, err := a.Merge(b)
+	}).Record("p", "b")
+	m, err := MergeRecords(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Skipped != 10 {
 		t.Errorf("merged skipped %d, want 10", m.Skipped)
-	}
-	// Pruning is a per-program property, not additive across shards.
-	if m.Pruned != 2 {
-		t.Errorf("merged pruned %d, want 2", m.Pruned)
 	}
 	pcs := make([]int, len(m.Sites))
 	for i, s := range m.Sites {
@@ -248,21 +203,24 @@ func TestProfileMergeSharedAndUnique(t *testing.T) {
 	if len(pcs) != 3 || pcs[0] != 1 || pcs[1] != 2 || pcs[2] != 3 {
 		t.Fatalf("merged site pcs %v, want [1 2 3]", pcs)
 	}
-	if got := m.Site(3).Exec; got != 3 {
+	if got := m.Sites[2].Exec; got != 3 {
 		t.Errorf("shared site exec %d, want 3", got)
 	}
 	// Inputs must be untouched: a's shared site still holds only its
 	// own executions.
-	if a.Site(3).Exec != 1 || b.Site(3).Exec != 2 {
-		t.Error("Merge modified its inputs")
+	if a.Sites[1].Exec != 1 || len(a.Sites[1].Top) != 1 || b.Sites[1].Exec != 2 {
+		t.Error("MergeRecords modified its inputs")
 	}
 }
 
 func TestProfileMergeRejectsWidthMismatch(t *testing.T) {
-	a := &Profile{K: 10}
-	b := &Profile{K: 8}
-	if _, err := a.Merge(b); err == nil {
+	a := &ProfileRecord{Program: "p", K: 10}
+	b := &ProfileRecord{Program: "p", K: 8}
+	if _, err := MergeRecords(a, b); err == nil {
 		t.Fatal("merging different table widths did not fail")
+	}
+	if _, err := MergeRecords(b, a); err == nil {
+		t.Fatal("merging different table widths in the other order did not fail")
 	}
 }
 

@@ -190,12 +190,29 @@ func (lr *LoadReport) String() string {
 // corrupt header, not a plausible configuration.
 const maxTableWidth = 1 << 16
 
-// MergeRecords combines two profiles of the same program into one, the
-// way a pipeline merges salvaged partial profiles from interrupted
-// runs: per-site counters add, and TNV tables merge by value with the
-// combined top K kept. The LVP hit at each splice boundary is lost (at
-// most one execution per site), so merged LVP is an approximation;
-// merged TNV counts are exact for values both tables retained.
+// MergeRecords combines two records of the same program into one. It
+// is the only profile merge: shards of one run, the inputs of a
+// multi-input job and salvaged partials of interrupted runs all fold
+// through it. The records must share a program and a table width K.
+// Neither input is modified, though the result may share their Top
+// slices.
+//
+// Keyed by site PC, a site present in both records adds its Exec,
+// LVPHits, Zeros and Dropped counters, a site present in one carries
+// over, and the result stays sorted by PC; the records' Skipped totals
+// add. The TNV tables merge by count-weighted union: the counts of a
+// value both tables hold add, and the union is sorted by count (ties
+// broken toward the lower value, for determinism) and truncated to K,
+// so the merged table is again its highest-count entries.
+//
+// The merged table approximates the one a single concatenated run
+// would have built: counts either side lost to eviction or clearing
+// stay lost, and values each side retained are summed exactly. A
+// merged count therefore never exceeds the true count, and InvTop stays
+// an underestimate of true invariance. The LVP hit a concatenated run
+// might have scored at the splice (b's first value equalling a's last)
+// is unknowable from the records, so merged LVPHits can be short by
+// one per site per merge. See docs/parallel.md.
 func MergeRecords(a, b *ProfileRecord) (*ProfileRecord, error) {
 	if a.K != b.K {
 		return nil, fmt.Errorf("core: merging records with different table widths %d and %d", a.K, b.K)

@@ -415,15 +415,18 @@ func (h *harness) checkResume(recFull *core.ProfileRecord, input []int64) {
 }
 
 // checkShardMerge runs the program over two inputs as parallel shards
-// and as one concatenated serial run, then compares Profile.Merge
-// against the concatenation: counters exact, full profiles exact,
-// LVP hits short by at most the one splice-boundary hit per site, and
-// — when the wide table provably never evicted — TNV counts exact.
+// and as one concatenated serial run, records both shards and merges
+// the records with core.MergeRecords — the merge vprofd and vprof
+// -merge run — then compares the merged record against the
+// concatenation's, site by site: Exec and Zeros exact, LVP hits short
+// by at most the one splice-boundary hit per site, and — when the wide
+// table provably never evicted — TNV counts exact. The merged record
+// must also pass the strict loader.
 func (h *harness) checkShardMerge(ref, ref2 *RefProfiler, input, input2 []int64) {
 	const prop = "shard-merge"
-	wide := core.Options{TNV: h.opts.Wide, TrackFull: true}
+	wide := core.Options{TNV: h.opts.Wide}
 
-	vpConcat := h.profiler(prop, wide)
+	vpConcat := h.profiler(prop, core.Options{TNV: h.opts.Wide, TrackFull: true})
 	if vpConcat == nil {
 		return
 	}
@@ -442,65 +445,87 @@ func (h *harness) checkShardMerge(ref, ref2 *RefProfiler, input, input2 []int64)
 			Run: atom.RunOptions{StepLimit: h.opts.StepLimit}},
 	}
 	results := parallel.Run(context.Background(), h.opts.Workers, jobs)
-	merged, err := parallel.MergeShards(results)
-	if err != nil {
+	if err := parallel.FirstError(results); err != nil {
 		h.fail(prop, -1, "shard run failed: %v", err)
 		return
+	}
+	merged, err := core.MergeRecords(results[0].Profile.Record(h.name, "shard0"),
+		results[1].Profile.Record(h.name, "shard1"))
+	if err != nil {
+		h.fail(prop, -1, "merging shard records: %v", err)
+		return
+	}
+	if err := strictRecordRoundTrip(merged); err != nil {
+		h.fail(prop, -1, "merged record fails strict load: %v", err)
 	}
 
 	if merged.Skipped != 0 || concat.Skipped != 0 {
 		h.fail(prop, -1, "skips recorded with sampling off (merged %d, concat %d)", merged.Skipped, concat.Skipped)
 	}
-	for _, cs := range concat.Sites {
-		ms := merged.Site(cs.PC)
-		if ms == nil {
-			h.fail(prop, cs.PC, "site missing from merged profile")
+	concatRec := concat.Record(h.name, "concat")
+	if len(merged.Sites) != len(concatRec.Sites) {
+		h.fail(prop, -1, "merged record has %d sites, concatenated %d", len(merged.Sites), len(concatRec.Sites))
+	}
+	concatByPC := make(map[int]*core.SiteRecord, len(concatRec.Sites))
+	for i := range concatRec.Sites {
+		concatByPC[concatRec.Sites[i].PC] = &concatRec.Sites[i]
+	}
+	mergedByPC := make(map[int]*core.SiteRecord, len(merged.Sites))
+	for i := range merged.Sites {
+		mergedByPC[merged.Sites[i].PC] = &merged.Sites[i]
+	}
+	for _, site := range concat.Sites {
+		seqLen := uint64(len(ref.Seqs[site.PC]) + len(ref2.Seqs[site.PC]))
+		if site.Exec != seqLen {
+			h.fail(prop, site.PC, "Exec concat %d != reference %d", site.Exec, seqLen)
 			continue
 		}
-		seqLen := uint64(len(ref.Seqs[cs.PC]) + len(ref2.Seqs[cs.PC]))
-		if cs.Exec != seqLen || ms.Exec != seqLen {
-			h.fail(prop, cs.PC, "Exec concat %d / merged %d != reference %d", cs.Exec, ms.Exec, seqLen)
+		if seqLen == 0 {
+			continue // no record holds a site that never ran
+		}
+		cs, ms := concatByPC[site.PC], mergedByPC[site.PC]
+		if ms == nil {
+			h.fail(prop, site.PC, "site missing from merged record")
+			continue
+		}
+		if ms.Exec != seqLen {
+			h.fail(prop, site.PC, "Exec merged %d != reference %d", ms.Exec, seqLen)
 			continue
 		}
 		if cs.Zeros != ms.Zeros {
-			h.fail(prop, cs.PC, "Zeros concat %d != merged %d", cs.Zeros, ms.Zeros)
+			h.fail(prop, site.PC, "Zeros concat %d != merged %d", cs.Zeros, ms.Zeros)
 		}
 		// Merging concatenates the shards' value streams except that
 		// the hit (or miss) at the splice point is unobservable: the
 		// merged count may undercount by at most 1.
 		if ms.LVPHits > cs.LVPHits || cs.LVPHits-ms.LVPHits > 1 {
-			h.fail(prop, cs.PC, "LVPHits merged %d vs concat %d (allowed undercount ≤ 1)", ms.LVPHits, cs.LVPHits)
+			h.fail(prop, site.PC, "LVPHits merged %d vs concat %d (allowed undercount ≤ 1)", ms.LVPHits, cs.LVPHits)
 		}
-		if cs.Full == nil || ms.Full == nil {
-			h.fail(prop, cs.PC, "full profile missing (concat %v, merged %v)", cs.Full != nil, ms.Full != nil)
-			continue
-		}
-		combined := RefCounts(ref.Seqs[cs.PC])
-		for v, c := range RefCounts(ref2.Seqs[cs.PC]) {
+		combined := RefCounts(ref.Seqs[site.PC])
+		for v, c := range RefCounts(ref2.Seqs[site.PC]) {
 			combined[v] += c
 		}
 		for v, c := range combined {
-			if cs.Full.Count(v) != c || ms.Full.Count(v) != c {
-				h.fail(prop, cs.PC, "full count of %d: concat %d, merged %d, reference %d",
-					v, cs.Full.Count(v), ms.Full.Count(v), c)
+			if site.Full.Count(v) != c {
+				h.fail(prop, site.PC, "concat full count of %d is %d, reference %d", v, site.Full.Count(v), c)
 			}
 		}
 		// With every distinct value fitting in the wide table and
-		// clearing off, the TNV tables are lossless: both views must
+		// clearing off, the TNV tables are lossless: both records must
 		// hold exactly the reference counts.
 		if len(combined) <= h.opts.Wide.Size {
-			for viewName, s := range map[string]*core.SiteStats{"concat": cs, "merged": ms} {
-				got := map[int64]uint64{}
-				for _, e := range s.TNV.Top(s.TNV.Len()) {
+			for viewName, s := range map[string]*core.SiteRecord{"concat": cs, "merged": ms} {
+				got := make(map[int64]uint64, len(s.Top))
+				for _, e := range s.Top {
 					got[e.Value] = e.Count
 				}
 				if len(got) != len(combined) {
-					h.fail(prop, cs.PC, "%s TNV has %d entries, reference %d", viewName, len(got), len(combined))
+					h.fail(prop, site.PC, "%s TNV has %d entries, reference %d", viewName, len(got), len(combined))
 					continue
 				}
 				for v, c := range combined {
 					if got[v] != c {
-						h.fail(prop, cs.PC, "%s TNV count of %d is %d, reference %d", viewName, v, got[v], c)
+						h.fail(prop, site.PC, "%s TNV count of %d is %d, reference %d", viewName, v, got[v], c)
 					}
 				}
 			}

@@ -44,7 +44,7 @@
 // the home of parallel.RunJob, and arena.go. RunJob is the one run
 // path: a profiled run that acquires or instruments a VM anywhere else
 // is the start of a second one. Inside internal/parallel the rule also
-// covers the arena's own AcquireVM method.
+// covers AcquireVM called unqualified.
 package lint
 
 import (
@@ -118,10 +118,9 @@ func runPathFile(path string) bool {
 
 // runPathViolation flags a call that acquires or instruments a VM
 // outside the run path: parallel.AcquireVM or atom.PrepareOn through
-// the file's import names, or, in a pool file, the arena's AcquireVM
-// called unqualified or as a method.
+// the file's import names, or, in a pool file, AcquireVM called
+// unqualified.
 func runPathViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[string]string, poolFile bool) *Finding {
-	name := ""
 	switch fn := call.Fun.(type) {
 	case *ast.SelectorExpr:
 		if pkg, ok := fn.X.(*ast.Ident); ok {
@@ -130,15 +129,12 @@ func runPathViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[s
 				if reason, ok := runPathBanned[qualified]; ok {
 					return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
 				}
-				return nil
 			}
 		}
-		name = fn.Sel.Name
 	case *ast.Ident:
-		name = fn.Name
-	}
-	if poolFile && name == "AcquireVM" {
-		return &Finding{Pos: fset.Position(call.Pos()), Call: "parallel.AcquireVM", Msg: runPathBanned["parallel.AcquireVM"]}
+		if poolFile && fn.Name == "AcquireVM" {
+			return &Finding{Pos: fset.Position(call.Pos()), Call: "parallel.AcquireVM", Msg: runPathBanned["parallel.AcquireVM"]}
+		}
 	}
 	return nil
 }

@@ -192,19 +192,21 @@ func attempt(prog *Program, vp *Profiler) {
 	}
 
 	// Inside the pool package only RunJob's file acquires a VM from the
-	// shared arena.
+	// arena.
 	job := `package parallel
 
 import "valueprof/internal/atom"
 
 func RunJob(prog *Program, vp *Profiler) {
-	v := shared.AcquireVM(prog, 0)
+	v := AcquireVM(prog, 0)
 	atom.PrepareOn(v, atom.RunOptions{}, vp)
-	shared.ReleaseVM(v)
+	ReleaseVM(v)
 }
 `
-	if fs := checkAt(t, "internal/parallel/runjob.go", job); len(fs) != 0 {
-		t.Errorf("runjob.go findings = %v, want none", fs)
+	for _, file := range []string{"runjob.go", "arena.go"} {
+		if fs := checkAt(t, "internal/parallel/"+file, job); len(fs) != 0 {
+			t.Errorf("%s findings = %v, want none", file, fs)
+		}
 	}
 	fs = checkAt(t, "internal/parallel/parallel.go", job)
 	if len(fs) != 2 || fs[0].Call != "parallel.AcquireVM" || fs[1].Call != "atom.PrepareOn" {

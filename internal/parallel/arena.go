@@ -1,4 +1,4 @@
-// Arena: sync.Pool-backed reuse of per-job execution state. An N-job
+// The arena: sync.Pool-backed reuse of per-job execution state. An N-job
 // cross-product used to allocate a fresh VM (8 MiB memory image,
 // hook-bit/buffer tables) and a fresh profiler (site maps,
 // value buffers) per job; the arena recycles both through the explicit
@@ -22,22 +22,18 @@ import (
 	"valueprof/internal/vm"
 )
 
-// Arena recycles per-job VMs and profilers. The zero value is ready to
-// use.
-type Arena struct {
+// vms and profs are the arena: the process-wide pools behind RunJob
+// and the exported Acquire/Release functions.
+var (
 	vms   sync.Pool // *vm.VM
 	profs sync.Pool // *core.ValueProfiler
-}
-
-// shared is the package-wide arena behind RunJob and the exported
-// Acquire/Release helpers.
-var shared Arena
+)
 
 // AcquireVM returns a VM in the initial state for prog with memSize
 // bytes of guest memory — a recycled instance rewound with ResetFor
 // when one is pooled, a fresh one otherwise.
-func (a *Arena) AcquireVM(prog *program.Program, memSize int) *vm.VM {
-	if v, ok := a.vms.Get().(*vm.VM); ok {
+func AcquireVM(prog *program.Program, memSize int) *vm.VM {
+	if v, ok := vms.Get().(*vm.VM); ok {
 		v.ResetFor(prog, memSize)
 		return v
 	}
@@ -47,21 +43,21 @@ func (a *Arena) AcquireVM(prog *program.Program, memSize int) *vm.VM {
 // ReleaseVM parks v for reuse. The caller must have copied out every
 // result it needs (vm.ResultOf copies); instrumentation is stripped
 // immediately so a pooled VM does not retain the job's profiler.
-func (a *Arena) ReleaseVM(v *vm.VM) {
+func ReleaseVM(v *vm.VM) {
 	if v == nil {
 		return
 	}
 	v.ClearHooks()
 	v.Input = nil
-	a.vms.Put(v)
+	vms.Put(v)
 }
 
 // AcquireProfiler returns a profiler for opts — a recycled instance
 // rewound with ResetFor when one is pooled, a fresh one otherwise.
-func (a *Arena) AcquireProfiler(opts core.Options) (*core.ValueProfiler, error) {
-	if p, ok := a.profs.Get().(*core.ValueProfiler); ok {
+func AcquireProfiler(opts core.Options) (*core.ValueProfiler, error) {
+	if p, ok := profs.Get().(*core.ValueProfiler); ok {
 		if err := p.ResetFor(opts); err != nil {
-			a.profs.Put(p)
+			profs.Put(p)
 			return nil, err
 		}
 		return p, nil
@@ -72,25 +68,9 @@ func (a *Arena) AcquireProfiler(opts core.Options) (*core.ValueProfiler, error) 
 // ReleaseProfiler parks p for reuse. The caller must have extracted
 // its Profile first; the profile's sites stay valid (ResetFor on the
 // next acquisition abandons rather than recycles them).
-func (a *Arena) ReleaseProfiler(p *core.ValueProfiler) {
+func ReleaseProfiler(p *core.ValueProfiler) {
 	if p == nil {
 		return
 	}
-	a.profs.Put(p)
+	profs.Put(p)
 }
-
-// AcquireVM acquires from the shared package arena.
-func AcquireVM(prog *program.Program, memSize int) *vm.VM {
-	return shared.AcquireVM(prog, memSize)
-}
-
-// ReleaseVM releases into the shared package arena.
-func ReleaseVM(v *vm.VM) { shared.ReleaseVM(v) }
-
-// AcquireProfiler acquires from the shared package arena.
-func AcquireProfiler(opts core.Options) (*core.ValueProfiler, error) {
-	return shared.AcquireProfiler(opts)
-}
-
-// ReleaseProfiler releases into the shared package arena.
-func ReleaseProfiler(p *core.ValueProfiler) { shared.ReleaseProfiler(p) }

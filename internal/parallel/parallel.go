@@ -15,8 +15,8 @@
 // quantum boundary (their partial profiles remain salvageable), and
 // jobs the pool never dispatched come back annotated — Skipped, with a
 // job-named error — rather than silently dropped, so a cancelled batch
-// accounts for every piece of work. Retries, budgets, and salvage
-// merging on top of this pool live in internal/supervise.
+// accounts for every piece of work. Retries, budgets, and partial
+// salvage on top of this pool live in internal/supervise.
 package parallel
 
 import (
@@ -104,27 +104,6 @@ func FirstError(results []Result) error {
 		}
 	}
 	return nil
-}
-
-// MergeShards folds the results' profiles into one, in job order — the
-// shard-merge path for runs of the same program split across workers.
-// Every job must have completed with a profile.
-func MergeShards(results []Result) (*core.Profile, error) {
-	if err := FirstError(results); err != nil {
-		return nil, err
-	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("parallel: no shards to merge")
-	}
-	merged := results[0].Profile
-	for _, r := range results[1:] {
-		var err error
-		merged, err = merged.Merge(r.Profile)
-		if err != nil {
-			return nil, fmt.Errorf("parallel: merging shard %s: %w", r.Job.Name(), err)
-		}
-	}
-	return merged, nil
 }
 
 // Map runs fn(i) for every i in [0, n) on at most workers goroutines

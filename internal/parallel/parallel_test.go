@@ -150,8 +150,22 @@ func TestRunCapturesPerJobErrors(t *testing.T) {
 	}
 }
 
-// Sharding one workload's inputs across jobs and folding with
-// MergeShards must preserve the exact totals.
+// mergeRecords records every result's profile under program and
+// folds the records with core.MergeRecords, in job order.
+func mergeRecords(t *testing.T, program string, results []Result) *core.ProfileRecord {
+	t.Helper()
+	merged := results[0].Profile.Record(program, results[0].Job.Input.Name)
+	for _, r := range results[1:] {
+		var err error
+		if merged, err = core.MergeRecords(merged, r.Profile.Record(program, r.Job.Input.Name)); err != nil {
+			t.Fatalf("merging shard %s: %v", r.Job.Name(), err)
+		}
+	}
+	return merged
+}
+
+// Sharding one workload's inputs across jobs and merging the shards'
+// records must preserve the exact totals.
 func TestMergeShards(t *testing.T) {
 	w := workloads.All()[0]
 	var jobs []Job
@@ -159,19 +173,18 @@ func TestMergeShards(t *testing.T) {
 		jobs = append(jobs, Job{Workload: w, Input: in, Options: core.DefaultOptions()})
 	}
 	results := Run(context.Background(), 2, jobs)
-	merged, err := MergeShards(results)
-	if err != nil {
+	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
-	var want uint64
+	var want, got uint64
 	for _, r := range results {
 		want += r.Profile.Profiled()
 	}
-	if got := merged.Profiled(); got != want {
-		t.Errorf("merged profiled %d, want the shard total %d", got, want)
+	for _, s := range mergeRecords(t, w.Name, results).Sites {
+		got += s.Exec
 	}
-	if _, err := MergeShards(nil); err == nil {
-		t.Error("merging zero shards did not fail")
+	if got != want {
+		t.Errorf("merged profiled %d, want the shard total %d", got, want)
 	}
 }
 
@@ -267,8 +280,9 @@ func TestCancelledBatchAnnotatesSkippedJobs(t *testing.T) {
 
 // Cancellation racing the merge: whatever mix of completed, cancelled
 // in-flight, and skipped jobs a mid-batch cancellation leaves behind,
-// MergeShards must either produce a profile (all complete) or a clean
-// job-named error — never a panic on a missing profile.
+// FirstError must either pass the batch (all complete, so every shard
+// has a profile to merge) or return a clean job-named error — never
+// leave a merge to panic on a missing profile.
 func TestCancellationRacingMergeShards(t *testing.T) {
 	w := workloads.All()[0]
 	for round := 0; round < 8; round++ {
@@ -287,12 +301,10 @@ func TestCancellationRacingMergeShards(t *testing.T) {
 			cancel() // race in-flight runs
 		}
 		results := <-done
-		merged, err := MergeShards(results)
+		err := FirstError(results)
 		if err == nil {
-			if merged == nil {
-				t.Fatal("MergeShards returned neither profile nor error")
-			}
-			continue // whole batch beat the cancellation
+			mergeRecords(t, w.Name, results) // whole batch beat the cancellation
+			continue
 		}
 		if !strings.Contains(err.Error(), w.Name) {
 			t.Errorf("round %d: merge error %q does not name a job", round, err)

@@ -43,7 +43,7 @@ type Ran struct {
 	CaptureErr error
 }
 
-// RunJob runs one job on the shared arena: its own profiler and VM,
+// RunJob runs one job on the arena: its own profiler and VM,
 // acquired and released here, on a program shared read-only. It is the
 // one place a VM is acquired and instrumented for a profiled run;
 // Run, internal/supervise and vprof's single run all go through it.
@@ -61,14 +61,14 @@ func RunJob(ctx context.Context, job Job, x Extras) Ran {
 			return r
 		}
 	}
-	vp, err := shared.AcquireProfiler(job.Options)
+	vp, err := AcquireProfiler(job.Options)
 	if err != nil {
 		r.Outcome, r.Err = vm.OutcomeFaulted, err
 		return r
 	}
 	opts := job.Run
 	opts.Input = job.Input.Args
-	v := shared.AcquireVM(prog, opts.EffectiveMemSize())
+	v := AcquireVM(prog, opts.EffectiveMemSize())
 	if x.Resume != nil {
 		// Seeding and restoring come first so a checkpoint that does
 		// not fit is refused before anything is built or run. Restore
@@ -80,8 +80,8 @@ func RunJob(ctx context.Context, job Job, x Extras) Ran {
 			err = fmt.Errorf("restoring VM state: %w", err)
 		}
 		if err != nil {
-			shared.ReleaseVM(v)
-			shared.ReleaseProfiler(vp)
+			ReleaseVM(v)
+			ReleaseProfiler(vp)
 			r.Outcome, r.Err, r.Refused = vm.OutcomeFaulted, err, true
 			return r
 		}
@@ -107,9 +107,9 @@ func RunJob(ctx context.Context, job Job, x Extras) Ran {
 		}
 		r.Checkpoint, r.CaptureErr = core.CheckpointOf(vp, v, program, job.Input.Name)
 	}
-	shared.ReleaseVM(v)
+	ReleaseVM(v)
 	r.Profile = vp.Profile()
-	shared.ReleaseProfiler(vp)
+	ReleaseProfiler(vp)
 	r.Exec = res
 	r.Outcome = outcome
 	r.Err = err

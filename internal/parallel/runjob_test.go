@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"valueprof/internal/atom"
@@ -67,23 +68,31 @@ func TestRunProgJobsMatchSerial(t *testing.T) {
 		}
 	}
 
-	merged, err := parallel.MergeShards(pooled)
-	if err != nil {
+	if err := parallel.FirstError(pooled); err != nil {
 		t.Fatal(err)
 	}
-	var wantExec uint64
-	for _, r := range pooled {
+	merged := pooled[0].Profile.Record("g", pooled[0].Job.Input.Name)
+	wantExec := pooled[0].Profile.Profiled()
+	for _, r := range pooled[1:] {
 		wantExec += r.Profile.Profiled()
+		var err error
+		if merged, err = core.MergeRecords(merged, r.Profile.Record("g", r.Job.Input.Name)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if merged.Profiled() != wantExec {
-		t.Fatalf("merged profile lost executions: %d != %d", merged.Profiled(), wantExec)
+	var gotExec uint64
+	for _, s := range merged.Sites {
+		gotExec += s.Exec
+	}
+	if gotExec != wantExec {
+		t.Fatalf("merged record lost executions: %d != %d", gotExec, wantExec)
 	}
 }
 
 // TestRunProgJobErrorPaths covers the per-job failure branches: a
 // cancelled context marks every job cancelled without running it, and
 // options the profiler rejects surface as a faulted job (and poison a
-// subsequent merge) rather than a panic on the pool goroutine.
+// merge through FirstError) rather than a panic on the pool goroutine.
 func TestRunProgJobErrorPaths(t *testing.T) {
 	prog, spec := generated(t, 5)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -104,14 +113,14 @@ func TestRunProgJobErrorPaths(t *testing.T) {
 	if results[0].Err == nil || results[0].Outcome != vm.OutcomeFaulted {
 		t.Fatalf("bad options: got %v (%v), want faulted", results[0].Err, results[0].Outcome)
 	}
-	if _, err := parallel.MergeShards(results); err == nil {
-		t.Fatal("MergeShards accepted a faulted shard")
+	if err := parallel.FirstError(results); err == nil || !strings.Contains(err.Error(), "profiling j") {
+		t.Fatalf("FirstError = %v, want the faulted job's error", err)
 	}
 }
 
 // TestMergeShardsRejectsFailedShard: a shard stopped by its step limit
-// keeps its partial profile, but a merge refuses it, and refuses zero
-// shards.
+// keeps its partial profile, but FirstError refuses the batch with the
+// shard's name, so no merge takes the partial for a complete run.
 func TestMergeShardsRejectsFailedShard(t *testing.T) {
 	prog, spec := generated(t, 4)
 	short := progJob("short", prog, progen.InputFor(spec, 0))
@@ -125,11 +134,8 @@ func TestMergeShardsRejectsFailedShard(t *testing.T) {
 	if results[1].Profile == nil {
 		t.Fatal("short job: partial profile not salvaged")
 	}
-	if _, err := parallel.MergeShards(results); err == nil {
-		t.Fatal("MergeShards accepted a failed shard")
-	}
-	if _, err := parallel.MergeShards(nil); err == nil {
-		t.Fatal("MergeShards accepted zero shards")
+	if err := parallel.FirstError(results); err == nil || !strings.Contains(err.Error(), "profiling short") {
+		t.Fatalf("FirstError = %v, want the short shard's error", err)
 	}
 }
 

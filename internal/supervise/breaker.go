@@ -53,14 +53,3 @@ func (b *breaker) record(group string, permanent bool) {
 		b.open[group] = true
 	}
 }
-
-// Open reports the quarantined groups (for reports and tests).
-func (b *breaker) Open() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []string
-	for g := range b.open {
-		out = append(out, g)
-	}
-	return out
-}

@@ -318,49 +318,6 @@ type Report struct {
 	Completed, Salvaged, Failed, Quarantined, Aborted int
 }
 
-// FirstError returns the lowest-index job error wrapped with the job's
-// label, or nil.
-func (rep *Report) FirstError() error {
-	for i := range rep.Jobs {
-		if rep.Jobs[i].Err != nil {
-			return fmt.Errorf("profiling %s: %w", rep.Jobs[i].Job.label(), rep.Jobs[i].Err)
-		}
-	}
-	return nil
-}
-
-// MergeUsable folds every usable profile (completed and salvaged
-// jobs, in job order) into one, reporting whether the merge is
-// degraded — i.e. includes salvaged partials or omits failed jobs.
-// It fails only when nothing at all is usable.
-func (rep *Report) MergeUsable() (*core.Profile, bool, error) {
-	var merged *core.Profile
-	degraded := false
-	for i := range rep.Jobs {
-		r := &rep.Jobs[i]
-		if !r.Usable() {
-			degraded = true
-			continue
-		}
-		if r.State == StateSalvaged {
-			degraded = true
-		}
-		if merged == nil {
-			merged = r.Profile
-			continue
-		}
-		var err error
-		merged, err = merged.Merge(r.Profile)
-		if err != nil {
-			return nil, degraded, fmt.Errorf("supervise: merging %s: %w", r.Job.label(), err)
-		}
-	}
-	if merged == nil {
-		return nil, degraded, fmt.Errorf("supervise: no usable profiles to merge")
-	}
-	return merged, degraded, nil
-}
-
 // Run executes jobs under policy on at most workers goroutines (≤ 0
 // selects GOMAXPROCS), returning one JobReport per job in job order.
 // Like parallel.Run it never fails as a whole.

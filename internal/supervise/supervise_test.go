@@ -490,7 +490,9 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestMergeUsableMixesSalvagedAndCompleted(t *testing.T) {
+// Merging the records of a salvaged and a completed job keeps the
+// Salvaged mark; merging clean records does not invent one.
+func TestMergedRecordsKeepSalvagedMark(t *testing.T) {
 	chaos := &scriptedChaos{tools: map[[2]int]atom.Tool{
 		{1, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
 		{1, 2}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
@@ -503,16 +505,17 @@ func TestMergeUsableMixesSalvagedAndCompleted(t *testing.T) {
 	if rep.Completed != 1 || rep.Salvaged != 1 {
 		t.Fatalf("tallies %+v", rep)
 	}
-	merged, degraded, err := rep.MergeUsable()
-	if err != nil || merged == nil {
+	merged, err := core.MergeRecords(rep.Jobs[0].Record(), rep.Jobs[1].Record())
+	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if !degraded {
-		t.Error("merge including a salvaged partial not marked degraded")
+	if !merged.Salvaged {
+		t.Error("merge including a salvaged partial not marked salvaged")
 	}
-	clean := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{})
-	if _, degraded, err := clean.MergeUsable(); err != nil || degraded {
-		t.Errorf("clean merge: degraded %v err %v", degraded, err)
+	clean := Run(context.Background(), 1, []Job{loopJob(t), loopJob(t)}, Policy{})
+	merged, err = core.MergeRecords(clean.Jobs[0].Record(), clean.Jobs[1].Record())
+	if err != nil || merged.Salvaged {
+		t.Errorf("clean merge: salvaged %v err %v", merged != nil && merged.Salvaged, err)
 	}
 }
 
