@@ -8,7 +8,7 @@
 COVER_MIN_CORE      := 90
 COVER_MIN_PARALLEL  := 85
 COVER_MIN_ANALYSIS  := 80
-COVER_MIN_SERVE     := 88
+COVER_MIN_SERVE     := 93
 COVER_MIN_SUPERVISE := 82
 COVER_MIN_VM        := 88
 
@@ -19,7 +19,8 @@ all: build vet lint test
 # its generated-program sweep is the longest race test binary and gets
 # the CPUs to itself under go test's default timeout), the coverage
 # gate, a short fuzz pass over the parsers that face
-# untrusted input and over the image-to-VM boundary, the 500-seed
+# untrusted input (the daemon's request and manifest decoders among
+# them) and over the image-to-VM boundary, the 500-seed
 # differential-testing sweep, the pool-level chaos sweep, the
 # batched-buffer race benchmark, the
 # pooled-reuse chaos smoke, a one-iteration benchmark smoke (every
@@ -74,6 +75,8 @@ fuzz-smoke:
 	go test ./internal/core $(FUZZ_SMOKE) -fuzz=FuzzTNVAdd
 	go test ./internal/asm $(FUZZ_SMOKE) -fuzz=FuzzAssemble
 	go test ./internal/vm $(FUZZ_SMOKE) -fuzz=FuzzLoadRun
+	go test ./internal/serve $(FUZZ_SMOKE) -fuzz=FuzzDecodeRequest
+	go test ./internal/serve $(FUZZ_SMOKE) -fuzz=FuzzLoadManifest
 
 # The differential-testing sweep: 500 generated programs checked
 # against the naive reference oracle (see docs/difftest.md). Any

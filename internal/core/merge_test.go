@@ -224,6 +224,20 @@ func TestProfileMergeRejectsWidthMismatch(t *testing.T) {
 	}
 }
 
+// Two sites at one PC with different names come from two builds of a
+// program; their counts describe different instructions and must not
+// add.
+func TestRecordMergeRejectsSiteNameMismatch(t *testing.T) {
+	cfg := TNVConfig{Size: 10, Steady: 5}
+	a := (&Profile{K: cfg.Size, Sites: []*SiteStats{siteWith(1, "f+1", cfg, 7)}}).Record("p", "a")
+	b := (&Profile{K: cfg.Size, Sites: []*SiteStats{siteWith(1, "g+0", cfg, 9)}}).Record("p", "b")
+	_, err := MergeRecords(a, b)
+	want := `core: merging records whose site at pc 1 is named "f+1" and "g+0"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("merging mismatched site names: err %v, want %q", err, want)
+	}
+}
+
 // --- checkpoint: per-site skip counters (envelope version 1) ---
 
 func skippedProfiler(t *testing.T) *ValueProfiler {

@@ -193,7 +193,9 @@ const maxTableWidth = 1 << 16
 // MergeRecords combines two records of the same program into one. It
 // is the only profile merge: shards of one run, the inputs of a
 // multi-input job and salvaged partials of interrupted runs all fold
-// through it. The records must share a program and a table width K.
+// through it. The records must share a program and a table width K,
+// and a site at a PC both hold must carry one name in both (records of
+// two builds of a program refuse to merge).
 // Neither input is modified, though the result may share their Top
 // slices.
 //
@@ -237,6 +239,9 @@ func MergeRecords(a, b *ProfileRecord) (*ProfileRecord, error) {
 	for i := range a.Sites {
 		sa := a.Sites[i]
 		if sb, ok := bByPC[sa.PC]; ok {
+			if sa.Name != sb.Name {
+				return nil, fmt.Errorf("core: merging records whose site at pc %d is named %q and %q", sa.PC, sa.Name, sb.Name)
+			}
 			delete(bByPC, sa.PC)
 			sa.Exec += sb.Exec
 			sa.LVPHits += sb.LVPHits

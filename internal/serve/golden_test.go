@@ -56,7 +56,23 @@ func TestGoldenCancelQueued(t *testing.T) {
 // rejection: malformed request shapes, undecodable and
 // verifier-rejected programs, and config incompatibilities.
 func TestGoldenSubmitErrors(t *testing.T) {
-	cases := []struct {
+	for _, tc := range submitErrorCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, hs := newHTTPServer(t, Options{NoWorkers: true})
+			code, body := call(t, http.MethodPost, hs.URL+"/v1/jobs", tc.body)
+			checkGoldenResponse(t, tc.name, code, body)
+		})
+	}
+}
+
+// submitErrorCases are the rejected submissions TestGoldenSubmitErrors
+// pins, each named by its golden file; FuzzDecodeRequest seeds from
+// them too.
+func submitErrorCases(tb testing.TB) []struct {
+	name string
+	body any
+} {
+	return []struct {
 		name string
 		body any
 	}{
@@ -111,31 +127,24 @@ func TestGoldenSubmitErrors(t *testing.T) {
 			Config:  JobConfig{MemSize: 1 << 40},
 		}},
 		{"err_data_beyond_memory.txt", &JobRequest{
-			Program: WireProgram{Image: farDataImage(t)},
+			Program: WireProgram{Image: farDataImage(tb)},
 			Inputs:  [][]int64{{1}},
 		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, hs := newHTTPServer(t, Options{NoWorkers: true})
-			code, body := call(t, http.MethodPost, hs.URL+"/v1/jobs", tc.body)
-			checkGoldenResponse(t, tc.name, code, body)
-		})
 	}
 }
 
 // farDataImage is loopSrc as a base64 image whose data segment starts
 // at 1<<40, past any memory a job may have.
-func farDataImage(t *testing.T) string {
-	t.Helper()
+func farDataImage(tb testing.TB) string {
+	tb.Helper()
 	prog, err := asm.Assemble(loopSrc)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	prog.DataAddr = 1 << 40
 	image, err := saveImage(prog)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return base64.StdEncoding.EncodeToString(image)
 }

@@ -35,6 +35,8 @@ func statusOf(class string) int {
 		return http.StatusNotFound
 	case ClassNotReady, ClassBudget, ClassFaulted, ClassCancelled:
 		return http.StatusConflict
+	case ClassExpired:
+		return http.StatusGone
 	case ClassMethod:
 		return http.StatusMethodNotAllowed
 	case ClassOverloaded:
@@ -140,8 +142,8 @@ type submitResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := readRequest(r.Body, r.ContentLength, s.opts.MaxBody)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeErr(w, ClassOversized, "request body exceeds %d bytes", tooBig.Limit)
@@ -150,7 +152,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, ClassBadRequest, "decoding request: %v", err)
 		return
 	}
-	j, cached, rerr := s.submit(&req)
+	j, cached, rerr := s.submit(req)
 	if rerr != nil {
 		writeErr(w, rerr.Class, "%s", rerr.Msg)
 		return
@@ -172,7 +174,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, j *job) {
 	case StateCompleted:
 		rec, ok := s.cache.get(j.Digest)
 		if !ok {
-			writeErr(w, ClassInternal, "result for %s missing from cache", j.ID)
+			// The cache dropped the entry (a damaged file an earlier
+			// daemon wrote), and nothing reruns a finished job.
+			writeErr(w, ClassExpired, "result of job %s is no longer cached; submit the request again to recompute it", j.ID)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

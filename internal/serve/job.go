@@ -56,6 +56,7 @@ const (
 	ClassBudget         = "budget"          // step/deadline/retry budget exhausted
 	ClassFaulted        = "faulted"         // guest program faulted
 	ClassCancelled      = "cancelled"       // cancelled by the client
+	ClassExpired        = "expired"         // a completed job's result is no longer cached
 	ClassInternal       = "internal"        // daemon-side failure
 )
 
@@ -274,16 +275,37 @@ func (j *job) persist(stateDir, persistedState string) error {
 	return atomicio.WriteFileBytes(manifestPath(stateDir, j.ID), data)
 }
 
-// loadManifest reads one persisted job, rebuilding the decoded program
-// from its canonical image.
+// loadManifest reads one persisted job; a manifest is named after its
+// job's ID.
 func loadManifest(path string) (*job, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	j, err := decodeManifest(data)
+	if err == nil && filepath.Base(path) != j.ID+".json" {
+		err = fmt.Errorf("holds job %q", j.ID)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: manifest %s: %w", path, err)
+	}
+	return j, nil
+}
+
+// decodeManifest rebuilds a job from its manifest, decoding the program
+// from its canonical image. The manifest must describe a job the daemon
+// could have accepted: at least one input, inputsDone within them, a
+// program that fits its config's memory, and a config that normalizes
+// to one whose digest, with the image and inputs, is the job's digest.
+// A damaged manifest is refused rather than recovered into a job that
+// would run something else under its digest, or crash the worker.
+func decodeManifest(data []byte) (*job, error) {
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("serve: decoding manifest %s: %w", path, err)
+		return nil, fmt.Errorf("decoding: %w", err)
+	}
+	if len(m.Inputs) == 0 || m.InputsDone < 0 || m.InputsDone > len(m.Inputs) {
+		return nil, fmt.Errorf("%d of %d inputs done", m.InputsDone, len(m.Inputs))
 	}
 	prog, err := program.Load(bytesReader(m.Image))
 	if err == nil {
@@ -292,7 +314,13 @@ func loadManifest(path string) (*job, error) {
 		err = vm.CheckFit(prog, m.Config.runOptions().EffectiveMemSize())
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: manifest %s image: %w", path, err)
+		return nil, fmt.Errorf("image: %w", err)
+	}
+	if err := m.Config.Normalize(); err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	if d, err := DigestOf(m.Image, m.Inputs, &m.Config); err != nil || d != m.Digest {
+		return nil, fmt.Errorf("digest %s does not match its content", m.Digest)
 	}
 	j := &job{
 		ID:         m.ID,

@@ -183,8 +183,9 @@ func TestRestartConvergentRerunsFresh(t *testing.T) {
 
 // TestRestartRecomputesCorruptCacheEntry: a job's cache file damaged
 // on disk between daemons (here truncated) is not served as a result.
-// The restarted daemon finds the entry invalid, drops it and reruns the
-// resubmitted job, and the result it serves is byte-identical to the
+// The restarted daemon finds the entry invalid and drops it, so the
+// finished job's result answers class expired (410). Resubmitting the
+// request reruns it, and the result served is byte-identical to the
 // first daemon's.
 func TestRestartRecomputesCorruptCacheEntry(t *testing.T) {
 	req := loopRequest("dave", 500)
@@ -221,6 +222,9 @@ func TestRestartRecomputesCorruptCacheEntry(t *testing.T) {
 	}
 
 	s2, hs2 := newHTTPServer(t, opts)
+	code, body := call(t, http.MethodGet, hs2.URL+"/v1/jobs/"+st.ID+"/result", nil)
+	checkGoldenResponse(t, "err_result_expired.txt", code, body)
+
 	code, st2 := submitHTTP(t, hs2.URL, req)
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit over a truncated cache entry: %d (%+v), want a queued rerun", code, st2)

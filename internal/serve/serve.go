@@ -89,6 +89,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts  Options
 	cache *cache
+	progs *programMemo
 	sched *scheduler
 
 	mu      sync.Mutex
@@ -112,6 +113,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		cache:   c,
+		progs:   newProgramMemo(),
 		sched:   newScheduler(),
 		jobs:    make(map[string]*job),
 		nextSeq: 1,
@@ -184,7 +186,7 @@ func (s *Server) submit(req *JobRequest) (*job, bool, *RequestError) {
 	if s.closing.Load() {
 		return nil, false, reqErr(ClassClosing, "server is shutting down")
 	}
-	prog, image, err := decodeProgram(req.Program)
+	prog, image, err := s.progs.decode(req.Program)
 	if err != nil {
 		return nil, false, err.(*RequestError)
 	}

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"valueprof/internal/asm"
 	"valueprof/internal/core"
+	"valueprof/internal/vm"
 )
 
 // TestDigestStability pins the digest format: any change to the
@@ -183,8 +185,14 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
+	// Recovery refuses a manifest whose digest does not match its
+	// content, so the job carries its true digest.
+	digest, err := DigestOf(image, [][]int64{{5}}, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	j := &job{
-		ID: "j-7", Seq: 7, Client: "c", Digest: "vpd1:feed",
+		ID: "j-7", Seq: 7, Client: "c", Digest: digest,
 		Prog: prog, Image: image, Inputs: [][]int64{{5}},
 		Config: cfg, state: StateRunning, attempts: 2, resumed: 1,
 	}
@@ -220,6 +228,88 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.state != StateQueued {
 		t.Fatalf("evicted state %q", got.state)
 	}
+}
+
+// TestDecodeManifestRefusesDamage: recovery refuses a manifest that
+// does not describe a job the daemon could have accepted, and one filed
+// under another job's name. A config with its defaults left out still
+// recovers: it normalizes to the config the digest covers.
+func TestDecodeManifestRefusesDamage(t *testing.T) {
+	dir := t.TempDir()
+	s := newServer(t, Options{NoWorkers: true, StateDir: dir})
+	if _, _, rerr := s.submit(loopRequest("c", 5)); rerr != nil {
+		t.Fatal(rerr)
+	}
+	good, err := os.ReadFile(manifestPath(dir, "j-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(f func(m, cfg map[string]any)) []byte {
+		var m map[string]any
+		if err := json.Unmarshal(good, &m); err != nil {
+			t.Fatal(err)
+		}
+		f(m, m["config"].(map[string]any))
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"no inputs":         edit(func(m, _ map[string]any) { m["inputs"] = [][]int64{} }),
+		"inputsDone past":   edit(func(m, _ map[string]any) { m["inputsDone"] = 2 }),
+		"inputsDone < 0":    edit(func(m, _ map[string]any) { m["inputsDone"] = -1 }),
+		"inputs changed":    edit(func(m, _ map[string]any) { m["inputs"] = [][]int64{{6}} }),
+		"config invalid":    edit(func(_, cfg map[string]any) { cfg["filter"] = "stores" }),
+		"config changed":    edit(func(_, cfg map[string]any) { cfg["stepLimit"] = 10 }),
+		"image truncated":   edit(func(m, _ map[string]any) { m["image"] = m["image"].(string)[:40] }),
+		"not a manifest":    []byte(`["j-1"]`),
+		"manifest cut off":  good[:len(good)/2],
+		"digest of another": edit(func(m, _ map[string]any) { m["digest"] = "vpd1:feed" }),
+	} {
+		if _, err := decodeManifest(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := decodeManifest(edit(func(_, cfg map[string]any) { delete(cfg, "tnv") })); err != nil {
+		t.Errorf("config with the default TNV left out: %v", err)
+	}
+	other := manifestPath(dir, "j-2")
+	if err := os.WriteFile(other, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadManifest(other); err == nil {
+		t.Error("job j-1's manifest recovered from j-2.json")
+	}
+}
+
+// FuzzLoadManifest feeds decodeManifest arbitrary bytes, seeded from
+// testdata/fuzz/FuzzLoadManifest with the manifests persist writes for
+// a queued, a completed (two-input) and a salvaged job, a truncated
+// manifest, and one whose image claims 2^62 instructions. It must never
+// panic, and a manifest it accepts must be a job a worker can run: a
+// program that fits its config's memory, a normalized config, inputs
+// within which inputsDone lies, and a digest that matches them.
+func FuzzLoadManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		if err := vm.CheckFit(j.Prog, j.Config.runOptions().EffectiveMemSize()); err != nil {
+			t.Fatalf("accepted a program that does not fit: %v", err)
+		}
+		if j.Config.TNV == nil || j.Config.Filter == "" || j.Config.MaxAttempts < 1 {
+			t.Fatalf("accepted an unnormalized config %+v", j.Config)
+		}
+		if len(j.Inputs) == 0 || j.inputsDone < 0 || j.inputsDone > len(j.Inputs) {
+			t.Fatalf("accepted %d of %d inputs done", j.inputsDone, len(j.Inputs))
+		}
+		if d, err := DigestOf(j.Image, j.Inputs, &j.Config); err != nil || d != j.Digest {
+			t.Fatalf("accepted digest %s for content digesting to %s (%v)", j.Digest, d, err)
+		}
+	})
 }
 
 func TestP95Index(t *testing.T) {
