@@ -20,7 +20,7 @@ all: build vet lint test
 # the CPUs to itself under go test's default timeout), the coverage
 # gate, a short fuzz pass over the parsers that face
 # untrusted input (the daemon's request and manifest decoders among
-# them) and over the image-to-VM boundary, the 500-seed
+# them), over the record writer and over the image-to-VM boundary, the 500-seed
 # differential-testing sweep, the pool-level chaos sweep, the
 # batched-buffer race benchmark, the
 # pooled-reuse chaos smoke, a one-iteration benchmark smoke (every
@@ -71,6 +71,7 @@ lint:
 FUZZ_SMOKE := -run='^$$' -fuzztime=30s -fuzzminimizetime=100x
 fuzz-smoke:
 	go test ./internal/core $(FUZZ_SMOKE) -fuzz=FuzzReadProfileRecord
+	go test ./internal/core $(FUZZ_SMOKE) -fuzz=FuzzWriteProfileRecord
 	go test ./internal/core $(FUZZ_SMOKE) -fuzz=FuzzReadCheckpointPolicy
 	go test ./internal/core $(FUZZ_SMOKE) -fuzz=FuzzTNVAdd
 	go test ./internal/asm $(FUZZ_SMOKE) -fuzz=FuzzAssemble

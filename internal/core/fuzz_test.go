@@ -73,6 +73,10 @@ func FuzzReadProfileRecord(f *testing.F) {
 		`{"pc":4,"exec":2,"top":[[1]]},5,"s",[1],true]}`))
 	f.Add([]byte(`{"k":10,"sites":5}`))
 	f.Add([]byte(`{"k":10,"sites":{"a":1}}`))
+	// A null sites value is no sites, and a repeated one keeps the sites
+	// read before it.
+	f.Add([]byte(`{"k":10,"sites":null}`))
+	f.Add([]byte(`{"k":10,"sites":[{"pc":1,"exec":5}],"sites":null,"sites":nul`))
 	// Fractional, exponent-form and overflowing numbers.
 	f.Add([]byte(`{"k":10,"sites":[{"pc":1.0,"exec":5},{"pc":2,"exec":1e2},{"pc":3,"exec":18446744073709551616},` +
 		`{"pc":9223372036854775808,"exec":1},{"pc":4,"exec":-0},` +
@@ -114,6 +118,13 @@ func FuzzReadProfileRecord(f *testing.F) {
 				if s.LVPHits > s.Exec || s.Zeros > s.Exec {
 					t.Fatalf("counters exceed executions: %+v", s)
 				}
+				held := s.Dropped
+				for _, e := range s.Top {
+					held += e.Count
+				}
+				if held > s.Exec || held < s.Dropped {
+					t.Fatalf("TNV counts and dropped exceed executions: %+v", s)
+				}
 				// Checking every k up to rec.K is quadratic when the
 				// table is wide; the low ks and k = K cover the sum.
 				for _, k := range []int{1, 2, 3, rec.K} {
@@ -121,6 +132,58 @@ func FuzzReadProfileRecord(f *testing.F) {
 						t.Fatalf("InvTop(%d) = %v out of [0,1] for %+v", k, inv, s)
 					}
 				}
+			}
+		}
+	})
+}
+
+// FuzzWriteProfileRecord requires the writer to match the encoder it
+// replaced on every record the loader accepts, under either policy: the
+// same bytes, in a slice sized exactly, which a strict load reads back
+// as the loaded record. encoding/json writes an empty merged list as
+// nothing (omitempty), so that one field comes back nil.
+func FuzzWriteProfileRecord(f *testing.F) {
+	for _, rec := range writerCases() {
+		f.Add(refJSON(rec))
+	}
+	// Strings as a client might send them: escaped, non-ASCII, invalid
+	// UTF-8 and the two line separators JSON allows raw but
+	// encoding/json escapes.
+	f.Add([]byte(`{"program":"a\"b\\c\u0001<&>","input":"caf` + "\xc3\xa9" + `","k":3,"outcome":"\u2028\u2029",` +
+		`"merged":["` + "\xe2\x80\xa8" + `","\ud800"],"sites":[{"pc":1,"name":"bad ` + "\xff\xfe" + `","exec":2,` +
+		`"top":[{"Value":-1,"Count":1}]}]}`))
+	// Nil and empty slices, and every omitempty field both ways.
+	f.Add([]byte(`{"k":1,"merged":[],"sites":[{"pc":1,"exec":1,"top":null},{"pc":2,"exec":1,"top":[]}]}`))
+	f.Add([]byte(`{"k":1,"sites":null}`))
+	f.Add([]byte(`{"k":1,"salvaged":false,"attempts":0,"skipped":0,"outcome":"","sites":[]}`))
+	f.Add([]byte(`{"k":1,"salvaged":true,"attempts":2,"skipped":1,"outcome":"limit","sites":[{"pc":0,"exec":1,"dropped":1}]}`))
+	// Negative values and counts of 2^64-1.
+	f.Add([]byte(`{"k":2,"attempts":-4,"skipped":18446744073709551615,"sites":[{"pc":9223372036854775807,` +
+		`"exec":18446744073709551615,"lvpHits":18446744073709551615,"zeros":18446744073709551615,"dropped":1,` +
+		`"top":[{"Value":-9223372036854775808,"Count":18446744073709551614}]}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, policy := range []RepairPolicy{RepairNone, RepairDrop} {
+			rec, _, err := ReadProfileRecordPolicy(bytes.NewReader(data), policy)
+			if err != nil {
+				continue
+			}
+			got := rec.JSON()
+			if want := refJSON(rec); !bytes.Equal(got, want) {
+				t.Fatalf("policy %v: writer wrote\n%s\nencoder wrote\n%s", policy, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("policy %v: %d bytes in a slice of capacity %d", policy, len(got), cap(got))
+			}
+			back, err := ReadProfileRecord(bytes.NewReader(got))
+			if err != nil {
+				t.Fatalf("policy %v: strict load of the written record: %v\n%s", policy, err, got)
+			}
+			if len(rec.Merged) == 0 {
+				rec.Merged = nil
+			}
+			if !reflect.DeepEqual(back, rec) {
+				t.Fatalf("policy %v: read back\n%+v\nloaded\n%+v", policy, back, rec)
 			}
 		}
 	})

@@ -307,6 +307,11 @@ func (d *recordDecoder) sites() error {
 		return err
 	}
 	lit := d.data[start:d.pos]
+	if string(lit) == "null" {
+		// No sites, as when the key is missing: WriteJSON spells a
+		// record's nil Sites this way.
+		return nil
+	}
 	// A number beyond float64's range failed as a token, which the
 	// replaced loader took for a truncated sites array.
 	if c := lit[0]; c == '-' || isDigit(c) {
@@ -989,6 +994,7 @@ func (d *recordDecoder) validateSite(s *SiteRecord) (keep, clamped bool, err err
 			} else {
 				s.Top = s.Top[:i+1]
 			}
+			sum = s.Exec // the entries kept now add up to Exec
 			clamped = true
 			break
 		}

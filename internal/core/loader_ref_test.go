@@ -12,9 +12,11 @@ import (
 // This file keeps the encoding/json loader that ReadProfileRecordPolicy
 // replaced, as the reference FuzzReadProfileRecord and
 // TestSuiteRecordsLoadAlike compare the one-pass decoder against. It is
-// the replaced code unchanged but for its names and one rule both
+// the replaced code unchanged but for its names and three rules both
 // loaders now share: only whitespace may follow the record's closing
-// brace.
+// brace, under RepairDrop a dropped count is clamped against the TNV
+// counts as they stand after their own clamp, and "sites": null reads
+// as no sites, the way WriteJSON writes a record's nil Sites.
 
 // refReadProfileRecordPolicy is ReadProfileRecordPolicy as an
 // encoding/json token loop: each site is copied to a json.RawMessage and
@@ -151,6 +153,9 @@ func refReadSites(dec *json.Decoder, rec *ProfileRecord, seen map[int]bool, poli
 	if err != nil {
 		return &refTruncatedSites{err: err}
 	}
+	if tok == nil {
+		return nil // null: no sites, as when the key is missing
+	}
 	if d, ok := tok.(json.Delim); !ok || d != '[' {
 		return fmt.Errorf("sites is not an array (starts with %v)", tok)
 	}
@@ -277,6 +282,7 @@ func refValidateSite(s *SiteRecord, seen map[int]bool, policy RepairPolicy, rep 
 			} else {
 				s.Top = s.Top[:i+1]
 			}
+			sum = s.Exec // the entries kept now add up to Exec
 			clamped = true
 			break
 		}

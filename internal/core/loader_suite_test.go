@@ -10,9 +10,10 @@ import (
 )
 
 // TestSuiteRecordsLoadAlike profiles every suite workload on its test
-// and train inputs, writes each record with WriteJSON, and requires the
-// one-pass loader and the encoding/json loader it replaced to read back
-// equal records, cleanly, under both repair policies.
+// and train inputs, writes each record with WriteJSON, which must write
+// the encoding/json encoder's bytes, and requires the one-pass loader
+// and the encoding/json loader it replaced to read back equal records,
+// cleanly, under both repair policies.
 func TestSuiteRecordsLoadAlike(t *testing.T) {
 	for _, w := range workloads.All() {
 		prog, err := w.Compile()
@@ -31,6 +32,9 @@ func TestSuiteRecordsLoadAlike(t *testing.T) {
 			var buf bytes.Buffer
 			if err := rec.WriteJSON(&buf); err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), core.RefJSON(rec)) {
+				t.Errorf("%s/%s: WriteJSON's bytes differ from the encoder's", w.Name, in.Name)
 			}
 			for _, policy := range []core.RepairPolicy{core.RepairNone, core.RepairDrop} {
 				back, rep, err := core.CompareLoaders(t, buf.Bytes(), policy)

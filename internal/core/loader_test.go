@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -64,6 +63,27 @@ func TestLoaderRejectsOverflowingTopCounts(t *testing.T) {
 				t.Fatalf("site %d InvTop(%d) = %v > 1", s.PC, k, inv)
 			}
 		}
+	}
+}
+
+// TestLoaderClampsDroppedAfterTopClamp pins that a repaired site keeps
+// sum(Top counts) + Dropped ≤ Exec when its TNV counts were themselves
+// clamped: the dropped count is clamped against the clamped table, so
+// the repaired record passes the strict loader when written back. It
+// used to keep Dropped against the counts before the clamp and return a
+// record the strict loader refused.
+func TestLoaderClampsDroppedAfterTopClamp(t *testing.T) {
+	data := `{"k":2,"sites":[{"pc":0,"exec":4,"zeros":4,"dropped":1,"top":[{"Value":0,"Count":9}]}]}`
+	rec, rep, err := ReadProfileRecordPolicy(strings.NewReader(data), RepairDrop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rec.Sites[0]
+	if s.Top[0].Count != 4 || s.Dropped != 0 || rep.SitesClamped != 1 {
+		t.Fatalf("repaired site %+v, report %+v; want the count clamped to 4 and dropped to 0", s, rep)
+	}
+	if _, err := ReadProfileRecord(bytes.NewReader(rec.JSON())); err != nil {
+		t.Fatalf("strict load of the repaired record: %v", err)
 	}
 }
 
@@ -264,14 +284,7 @@ func TestLoaderTrailingData(t *testing.T) {
 // cannot move.
 func TestReadProfileRecordAllocs(t *testing.T) {
 	const sites = 500
-	rec := &ProfileRecord{Program: "p", Input: "test", K: 10, Outcome: "completed"}
-	for i := 0; i < sites; i++ {
-		s := SiteRecord{PC: 4 * i, Name: fmt.Sprintf("main+%d", 4*i), Exec: 1000, LVPHits: 600, Zeros: 20, Dropped: 3}
-		for v := 0; v < i%11; v++ {
-			s.Top = append(s.Top, TNVEntry{Value: int64(7*v - 20), Count: uint64(90 - v)})
-		}
-		rec.Sites = append(rec.Sites, s)
-	}
+	rec := manySiteRecord(sites)
 	var buf bytes.Buffer
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"valueprof/internal/asm"
@@ -273,3 +274,29 @@ func TestConvStateMachine(t *testing.T) {
 
 // ConvergentConfig.Validate error paths are covered table-driven in
 // convergent_test.go.
+
+// TestTNVSizeCap pins the upper bound on a table's size: a size the
+// strict loader would refuse as a record's width is refused up front.
+// Accepted, such a size used to reach the site slab, whose allocation
+// of that many entries per site panicked on the run's first profiled
+// value (with makeslice: len out of range at 1<<40), which in vprofd
+// took the daemon down.
+func TestTNVSizeCap(t *testing.T) {
+	prog, err := asm.Assemble(loopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1 << 40, maxTableWidth + 1} {
+		vp, err := NewValueProfiler(Options{TNV: TNVConfig{Size: size, Steady: 1, ClearInterval: 2000}})
+		if err == nil {
+			_, err = atom.Run(prog, nil, false, vp)
+			t.Fatalf("size %d accepted; the run returned %v", size, err)
+		}
+		if !strings.Contains(err.Error(), "exceeds the maximum") {
+			t.Errorf("size %d: error %q", size, err)
+		}
+	}
+	if _, err := NewValueProfiler(Options{TNV: TNVConfig{Size: maxTableWidth, Steady: 1}}); err != nil {
+		t.Errorf("size at the cap refused: %v", err)
+	}
+}

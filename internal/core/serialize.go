@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -126,13 +124,6 @@ func (pr *Profile) Record(programName, inputName string) *ProfileRecord {
 		})
 	}
 	return rec
-}
-
-// WriteJSON serializes the record.
-func (r *ProfileRecord) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(r)
 }
 
 // RepairPolicy selects how the validating loader treats a damaged

@@ -29,9 +29,15 @@ func DefaultTNVConfig() TNVConfig {
 	return TNVConfig{Size: 10, Steady: 5, ClearInterval: 2000}
 }
 
+// validate refuses a table no record could hold: Size must lie in
+// [1, maxTableWidth], the widths the strict loader accepts (a wider
+// table would also reserve its entries for every site up front).
 func (c TNVConfig) validate() error {
 	if c.Size <= 0 {
 		return fmt.Errorf("core: TNV size %d must be positive", c.Size)
+	}
+	if c.Size > maxTableWidth {
+		return fmt.Errorf("core: TNV size %d exceeds the maximum %d", c.Size, maxTableWidth)
 	}
 	if c.Steady < 0 || c.Steady > c.Size {
 		return fmt.Errorf("core: TNV steady %d out of range [0,%d]", c.Steady, c.Size)

@@ -113,11 +113,7 @@ func chaosRecordBytes(r *supervise.JobReport) ([]byte, error) {
 		return nil, fmt.Errorf("no usable record (state %v)", r.State)
 	}
 	rec.Attempts = 0
-	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return rec.JSON(), nil
 }
 
 // ChaosCheck runs one seed's program through the supervised pool under
@@ -255,10 +251,6 @@ func ChaosCheck(seed uint64, opts ChaosOptions) *ChaosReport {
 // strictRecordRoundTrip pushes a record through the serializer and the
 // strict loader, the gate every artifact must pass.
 func strictRecordRoundTrip(rec *core.ProfileRecord) error {
-	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
-		return err
-	}
-	_, err := core.ReadProfileRecord(&buf)
+	_, err := core.ReadProfileRecord(bytes.NewReader(rec.JSON()))
 	return err
 }

@@ -10,6 +10,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"valueprof/internal/core"
 )
 
 // The end-to-end suite exercises the acceptance scenario over real
@@ -208,5 +210,39 @@ func TestE2EKillRestartByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("restarted result differs from oracle:\n got %.200s\nwant %.200s", got, want)
+	}
+}
+
+// TestE2EJobWithoutSites runs a program that profiles no site (no loads
+// under filter "loads") on one input and on two. Its record is written
+// with "sites": null, which the strict loader must read back: the
+// two-input job merges its sub-runs' records through that loader, and
+// each result must load as a record with no sites.
+func TestE2EJobWithoutSites(t *testing.T) {
+	s, hs := newHTTPServer(t, Options{Workers: 1})
+	for _, inputs := range [][][]int64{{{1}}, {{1}, {2}}} {
+		code, st := submitHTTP(t, hs.URL, &JobRequest{
+			Client:  "nosites",
+			Program: WireProgram{Asm: "main: syscall getint\n syscall exit\n"},
+			Inputs:  inputs,
+			Config:  JobConfig{Filter: "loads"},
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("%d inputs: submit answered %d", len(inputs), code)
+		}
+		if st = waitTerminal(t, s, st.ID); st.State != StateCompleted {
+			t.Fatalf("%d inputs: job ended %s: %+v", len(inputs), st.State, st.Error)
+		}
+		code, body := call(t, http.MethodGet, hs.URL+"/v1/jobs/"+st.ID+"/result", nil)
+		if code != http.StatusOK {
+			t.Fatalf("%d inputs: result answered %d", len(inputs), code)
+		}
+		rec, err := core.ReadProfileRecord(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%d inputs: strict load of the result: %v\n%s", len(inputs), err, body)
+		}
+		if len(rec.Sites) != 0 {
+			t.Fatalf("%d inputs: %d sites, want none", len(inputs), len(rec.Sites))
+		}
 	}
 }

@@ -109,6 +109,13 @@ func submitErrorCases(tb testing.TB) []struct {
 			Inputs:  [][]int64{{1}},
 			Config:  JobConfig{TNV: &WireTNV{Size: -4, Steady: 2}},
 		}},
+		// A table wider than any record may hold (core's
+		// maxTableWidth, 1<<16) used to reach a worker and panic it.
+		{"err_tnv_size_over_cap.txt", &JobRequest{
+			Program: WireProgram{Asm: loopSrc},
+			Inputs:  [][]int64{{1}},
+			Config:  JobConfig{TNV: &WireTNV{Size: 1 << 40, Steady: 2}},
+		}},
 		{"err_bad_budget.txt", &JobRequest{
 			Program: WireProgram{Asm: loopSrc},
 			Inputs:  [][]int64{{1}},

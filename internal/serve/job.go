@@ -126,6 +126,11 @@ type job struct {
 	// served from the content cache instead.
 	result []byte
 
+	// persistMu orders manifest writes: each write holds it from its
+	// snapshot of the job to its rename, so the manifest last written
+	// describes the job as it last stood.
+	persistMu sync.Mutex
+
 	// Event fan-out. Subscriber channels are buffered; a slow consumer
 	// loses intermediate progress events, never the stream end.
 	subs     []chan ProgressEvent
@@ -241,11 +246,17 @@ func checkpointPath(stateDir, id string) string {
 
 // persist writes the job manifest atomically; a no-op without a state
 // directory. persistedState overrides the stored state (eviction
-// persists a running job as queued so recovery re-enqueues it).
+// persists a running job as queued so recovery re-enqueues it). Writes
+// of one job are serialized with their snapshots: submit persists a job
+// after enqueueing it, and a worker may have run it to completion by
+// then, so a snapshot taken before the worker's last write must not be
+// renamed over it.
 func (j *job) persist(stateDir, persistedState string) error {
 	if stateDir == "" {
 		return nil
 	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	j.mu.Lock()
 	m := manifest{
 		ID:         j.ID,

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -123,7 +122,7 @@ func (s *Server) mergeSubRuns(j *job) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return recordJSON(merged)
+	return merged.JSON(), nil
 }
 
 // classEvicted is the internal (never wire-visible) class marking a
@@ -176,19 +175,13 @@ func (s *Server) runOne(j *job, progName string, inputIdx int, input []int64) (r
 		return nil, nil, s.interruptClass(), ""
 	}
 	if r.State == supervise.StateCompleted {
-		b, err := recordJSON(r.Profile.Record(sj.Name, sj.InputName))
-		if err != nil {
-			return nil, nil, ClassInternal, fmt.Sprintf("serializing record: %v", err)
-		}
-		return b, nil, "", ""
+		return r.Profile.Record(sj.Name, sj.InputName).JSON(), nil, "", ""
 	}
 	if r.State == supervise.StateSalvaged {
 		pr := r.Profile.Record(sj.Name, sj.InputName)
 		pr.Salvaged = true
 		pr.Outcome = r.Outcome.String()
-		// A partial that will not serialize is dropped: the job then
-		// fails with its budget error instead of salvaging.
-		partial, _ = recordJSON(pr)
+		partial = pr.JSON()
 	}
 	class, msg = subRunError(&r, cfg, inputIdx)
 	return nil, partial, class, msg
@@ -220,15 +213,6 @@ func subRunError(r *supervise.JobReport, cfg *JobConfig, input int) (class, msg 
 		return ClassBudget, fmt.Sprintf("input %d: no forward progress under attempt deadline", input)
 	}
 	return ClassBudget, fmt.Sprintf("input %d: %d attempts exhausted (last outcome %s)", input, r.Attempts, r.Outcome)
-}
-
-// recordJSON serializes one profile record.
-func recordJSON(r *core.ProfileRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // subRun is the supervise.Hooks of one sub-run, behind progress

@@ -412,6 +412,8 @@ func (v *VM) runBlock(end uint64) error {
 			}
 			value = regs[in.Rd]
 			binary.LittleEndian.PutUint64(v.Mem[addr:], uint64(value))
+			v.dirty[addr>>pageShift] = true
+			v.dirty[(addr+7)>>pageShift] = true
 		case isa.OpStl:
 			addr = uint64(regs[in.Ra] + int64(in.Imm))
 			if !v.inMem(addr, 4) {
@@ -420,6 +422,8 @@ func (v *VM) runBlock(end uint64) error {
 			}
 			value = regs[in.Rd]
 			binary.LittleEndian.PutUint32(v.Mem[addr:], uint32(value))
+			v.dirty[addr>>pageShift] = true
+			v.dirty[(addr+3)>>pageShift] = true
 		case isa.OpStb:
 			addr = uint64(regs[in.Ra] + int64(in.Imm))
 			if !v.inMem(addr, 1) {
@@ -428,6 +432,7 @@ func (v *VM) runBlock(end uint64) error {
 			}
 			value = regs[in.Rd]
 			v.Mem[addr] = byte(value)
+			v.dirty[addr>>pageShift] = true
 		case isa.OpBr:
 			next = int(in.Imm)
 		case isa.OpBeq:
@@ -529,7 +534,8 @@ func (v *VM) Snapshot() *Snapshot {
 
 // Restore rewinds the VM to a previously captured snapshot. Attached
 // hooks and the Input queue are preserved; memory is resized to the
-// snapshot's size if it differs.
+// snapshot's size if it differs, and all of it counts as written for
+// the next Reset.
 func (v *VM) Restore(s *Snapshot) error {
 	if len(s.Regs) != isa.NumRegs {
 		return fmt.Errorf("vm: snapshot has %d registers, want %d", len(s.Regs), isa.NumRegs)
@@ -539,9 +545,10 @@ func (v *VM) Restore(s *Snapshot) error {
 	}
 	copy(v.Regs[:], s.Regs)
 	if len(v.Mem) != len(s.Mem) {
-		v.Mem = make([]byte, len(s.Mem))
+		v.newMem(len(s.Mem))
 	}
 	copy(v.Mem, s.Mem)
+	v.markDirty(0, uint64(len(v.Mem)))
 	v.PC = s.PC
 	v.Cycles = s.Cycles
 	v.InstCount = s.InstCount

@@ -25,8 +25,8 @@ import (
 const (
 	DefaultMemSize   = 8 << 20 // 8 MiB flat address space
 	DefaultStepLimit = 1 << 31 // instructions
-	// MaxMemSize caps guest memory (see CheckFit): a VM allocates and
-	// zeroes all of it up front, and a checkpoint copies it.
+	// MaxMemSize caps guest memory (see CheckFit): a VM allocates all
+	// of it up front, and a checkpoint copies it.
 	MaxMemSize = 256 << 20
 	// MaxOutput caps the guest's output in bytes. The syscall that
 	// would take Output past it faults instead of writing.
@@ -38,6 +38,10 @@ const (
 	// invocation, modelling the paper's instrumentation overhead (an
 	// ATOM analysis call costs a procedure call plus work).
 	AnalysisCallCycles = 12
+	// pageShift sizes the pages of guest memory the VM tracks writes
+	// in (4 KiB): Reset clears only the pages a run wrote.
+	pageShift = 12
+	pageSize  = 1 << pageShift
 )
 
 // Fault is a runtime error carrying the faulting pc.
@@ -67,8 +71,13 @@ type Hook func(*Event)
 type VM struct {
 	Prog *program.Program
 	Regs [isa.NumRegs]int64
-	Mem  []byte
-	PC   int
+	// Mem is the guest memory. Callers may read it, but only the VM
+	// writes it: the store instructions, Reset's copy of the data
+	// segment and Restore. Each marks the pages it writes, and Reset
+	// zeroes only the marked pages, so a write from outside the VM
+	// would survive a Reset.
+	Mem []byte
+	PC  int
 
 	Cycles        uint64
 	InstCount     uint64
@@ -105,6 +114,9 @@ type VM struct {
 	hookBits []uint8
 	// bufs holds the per-pc buffered after-sinks (HookAfterBuffered).
 	bufs []*ValueBuffer
+	// dirty marks the pages of Mem's backing array, all of cap(Mem),
+	// written since the last Reset.
+	dirty []bool
 }
 
 // Bits in hookBits.
@@ -138,10 +150,43 @@ func New(prog *program.Program) *VM {
 
 // NewSized creates a VM with the given memory size in bytes.
 func NewSized(prog *program.Program, memSize int) *VM {
-	v := &VM{Prog: prog, Mem: make([]byte, memSize), StepLimit: DefaultStepLimit}
+	v := &VM{Prog: prog, StepLimit: DefaultStepLimit}
+	v.newMem(memSize)
 	v.ensureHookState()
 	v.Reset()
 	return v
+}
+
+// newMem gives the VM n bytes of fresh guest memory, which the
+// allocator has zeroed, so no page of it is dirty.
+func (v *VM) newMem(n int) {
+	v.Mem = make([]byte, n)
+	v.dirty = make([]bool, (n+pageSize-1)>>pageShift)
+}
+
+// markDirty marks the pages holding the n bytes at addr, which must lie
+// inside Mem.
+func (v *VM) markDirty(addr, n uint64) {
+	if n == 0 {
+		return
+	}
+	for p := addr >> pageShift; p <= (addr+n-1)>>pageShift; p++ {
+		v.dirty[p] = true
+	}
+}
+
+// clearDirty zeroes every marked page and unmarks it. It covers the
+// whole backing array, not just len(Mem): a run at a larger memSize may
+// have dirtied pages that a ResetFor to a smaller one reslices away and
+// a later, larger one brings back.
+func (v *VM) clearDirty() {
+	mem := v.Mem[:cap(v.Mem)]
+	for p, d := range v.dirty {
+		if d {
+			clear(mem[p<<pageShift : min((p+1)<<pageShift, len(mem))])
+			v.dirty[p] = false
+		}
+	}
 }
 
 // ensureHookState makes the dense per-pc hook summary match the
@@ -153,15 +198,16 @@ func (v *VM) ensureHookState() {
 }
 
 // Reset rewinds the VM to the program's initial state, preserving
-// attached hooks and the Input queue.
+// attached hooks and the Input queue. Memory goes back to zero outside
+// the data segment by clearing only the pages written since the last
+// Reset.
 func (v *VM) Reset() {
 	for i := range v.Regs {
 		v.Regs[i] = 0
 	}
-	for i := range v.Mem {
-		v.Mem[i] = 0
-	}
+	v.clearDirty()
 	copy(v.Mem[v.Prog.DataAddr:], v.Prog.Data)
+	v.markDirty(v.Prog.DataAddr, uint64(len(v.Prog.Data)))
 	top := int64(len(v.Mem) - 64)
 	v.Regs[isa.RegSP] = top
 	v.Regs[isa.RegFP] = top
@@ -193,7 +239,7 @@ func (v *VM) ResetFor(prog *program.Program, memSize int) {
 	if cap(v.Mem) >= memSize {
 		v.Mem = v.Mem[:memSize]
 	} else {
-		v.Mem = make([]byte, memSize)
+		v.newMem(memSize)
 	}
 	v.StepLimit = DefaultStepLimit
 	v.Deadline = time.Time{}
