@@ -7,8 +7,9 @@
 // Absolute ns/inst numbers are machine-dependent and recorded for
 // context only. The gated quantities are machine-independent: the
 // ratio HookOverhead (hooked vs unhooked, timed on the same machine in
-// the same process, so the hardware cancels out) and the hooked run's
-// allocation count, which depends only on code paths.
+// the same process, so the hardware cancels out; the VM is built
+// outside the timed region, so the ratio compares the loops alone) and
+// the hooked run's allocation count, which depends only on code paths.
 package vmbench
 
 import (
@@ -140,7 +141,10 @@ func mustAssemble(src string) *program.Program {
 }
 
 // timeRun executes one profiling configuration repeatedly and returns
-// the minimum ns/inst. A nil mkTool times the bare interpreter.
+// the minimum ns/inst. A nil mkTool times the bare interpreter. Each
+// run's VM is built and instrumented before the timer starts, so only
+// the run and the buffer flush are timed: what building a VM costs
+// cannot move the figure.
 func timeRun(prog *program.Program, input []int64, repeats int, mkTool func() (atom.Tool, func())) (float64, uint64, error) {
 	best := time.Duration(1<<63 - 1)
 	var insts uint64
@@ -151,9 +155,10 @@ func timeRun(prog *program.Program, input []int64, repeats int, mkTool func() (a
 			t, f := mkTool()
 			tools, finish = []atom.Tool{t}, f
 		}
+		v := atom.Prepare(prog, atom.RunOptions{Input: input}, tools...)
 		runtime.GC()
 		start := time.Now()
-		res, err := atom.Run(prog, input, false, tools...)
+		err := v.Run()
 		if finish != nil {
 			finish()
 		}
@@ -161,7 +166,7 @@ func timeRun(prog *program.Program, input []int64, repeats int, mkTool func() (a
 		if err != nil {
 			return 0, 0, fmt.Errorf("vmbench: %w", err)
 		}
-		insts = res.InstCount
+		insts = v.InstCount
 		if elapsed < best {
 			best = elapsed
 		}
@@ -294,9 +299,8 @@ func Measure(opts Options) (*Report, error) {
 
 	if !opts.SkipPerOp {
 		// Per-op loops are flat (no inner nest), so the trip count is
-		// scaled up until VM setup cost (memory allocation and zeroing,
-		// ~1 ms) is noise against the loop itself. Informational, not
-		// gated.
+		// scaled up to time about as many instructions as the hot
+		// loop. Informational, not gated.
 		opInput := []int64{int64(opts.Outer*20 + 1)}
 		for _, op := range perOpOps {
 			ns, _, err := timeRun(mustAssemble(perOpSrc(op.inst)), opInput, opts.Repeats, nil)
