@@ -162,6 +162,13 @@ func (o Options) normalized() (Options, error) {
 	return o, nil
 }
 
+// Validate reports the error NewValueProfiler and ResetFor would
+// return for o, without building a profiler: the same check both run.
+func (o Options) Validate() error {
+	_, err := o.normalized()
+	return err
+}
+
 // NewValueProfiler validates opts and creates the tool.
 func NewValueProfiler(opts Options) (*ValueProfiler, error) {
 	opts, err := opts.normalized()

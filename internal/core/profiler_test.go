@@ -300,3 +300,25 @@ func TestTNVSizeCap(t *testing.T) {
 		t.Errorf("size at the cap refused: %v", err)
 	}
 }
+
+// Validate runs exactly the check NewValueProfiler and ResetFor run:
+// it refuses what they refuse, with the same error, and accepts what
+// they accept.
+func TestOptionsValidateMatchesProfiler(t *testing.T) {
+	cc := DefaultConvergentConfig()
+	for _, opts := range []Options{
+		{},
+		DefaultOptions(),
+		{TNV: TNVConfig{Size: -1}},
+		{TNV: TNVConfig{Size: maxTableWidth + 1, Steady: 1}},
+		{TNV: TNVConfig{Size: 4, Steady: 5}},
+		{Convergent: &ConvergentConfig{BurstLen: 10, InitialSkip: 10, MaxSkip: 5, Epsilon: 0.5}},
+		{AdaptiveBudget: &AdaptivePlan{}, Convergent: &cc},
+	} {
+		_, want := NewValueProfiler(opts)
+		got := opts.Validate()
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("Validate(%+v) = %v, NewValueProfiler says %v", opts, got, want)
+		}
+	}
+}

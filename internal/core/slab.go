@@ -17,18 +17,25 @@ type siteSlab struct {
 // siteSlabChunk is the number of sites allocated per slab refill.
 const siteSlabChunk = 64
 
+// tableCarve is the most entries a TNV table reserves up front, on the
+// slab or in NewTNV. A wider table grows by append as distinct values
+// arrive (Add appends while it holds fewer than Size), so what a job
+// reserves follows the values it sees, not the width it asked for.
+const tableCarve = 16
+
 // newSite allocates one site from the slab. Each TNV table receives an
-// entry slice with capacity exactly TNV.Size carved from the shared
-// entry slab; the table never appends past its capacity (inserts stop
-// at Size), and any exceptional growth (e.g. a merge) safely
-// reallocates out of the slab. Ground-truth sites (TrackFull) keep the
-// plain allocation path: they carry maps and are measurement-only.
+// entry slice with capacity min(TNV.Size, tableCarve) carved from the
+// shared entry slab. A table no wider than tableCarve (the default
+// width among them) never appends past its capacity; a wider one
+// outgrows it by append, which reallocates out of the slab. Ground-truth
+// sites (TrackFull) keep the plain allocation path: they carry maps
+// and are measurement-only.
 func (p *ValueProfiler) newSite(pc int, name string) *SiteStats {
 	if p.opts.TrackFull {
 		return NewSiteStats(pc, name, p.opts.TNV, true)
 	}
 	sl := &p.slab
-	k := p.opts.TNV.Size
+	k := min(p.opts.TNV.Size, tableCarve)
 	if len(sl.stats) == 0 {
 		sl.stats = make([]SiteStats, siteSlabChunk)
 		sl.tables = make([]TNVTable, siteSlabChunk)

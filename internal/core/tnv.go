@@ -91,13 +91,15 @@ func (t *TNVTable) rebuildSig() {
 	t.sig = sig
 }
 
-// NewTNV creates a table; it panics on an invalid configuration
-// (configurations are programmer-supplied constants).
+// NewTNV creates a table with room for min(cfg.Size, tableCarve)
+// entries; a wider one grows as distinct values arrive. It panics on
+// an invalid configuration (configurations are programmer-supplied
+// constants).
 func NewTNV(cfg TNVConfig) *TNVTable {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &TNVTable{cfg: cfg, entries: make([]TNVEntry, 0, cfg.Size)}
+	return &TNVTable{cfg: cfg, entries: make([]TNVEntry, 0, min(cfg.Size, tableCarve))}
 }
 
 // Config returns the table's configuration.

@@ -316,9 +316,10 @@ func (h *harness) checkSteadyTNV(ref *RefProfiler, input []int64) {
 // and replayed on the primary input. Both the execution summary and
 // the serialized profile must be byte-identical to the fresh-object
 // run — reuse may not be observable. ResetFor is called explicitly
-// (rather than through the sync.Pool arena) so the property is
-// deterministic: a pool Get may always miss and hand back a fresh
-// object, which would silently test nothing.
+// (rather than through the arena) so the property is deterministic:
+// an acquisition hands back whatever instance was parked last, or a
+// fresh one when none is, so what it tested would depend on the runs
+// before it.
 func (h *harness) checkReuse(recFull *core.ProfileRecord, resFull *vm.Result, input, input2 []int64) {
 	const prop = "fresh-vs-reused"
 	if resFull == nil {

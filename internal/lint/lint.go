@@ -34,10 +34,12 @@
 // handler reports errors over the wire; only a command's main may end
 // the process), and may not run guest code itself: vm.New/vm.NewSized,
 // atom.Prepare, and core.NewValueProfiler are banned there just as in
-// the pool package. Only the config probe's parallel.AcquireProfiler
-// stays. Raw destructive writes are covered by the first rule, which
-// applies to every tree vvet runs over — make lint runs it on
-// internal/serve.
+// the pool package. It may not touch the arena either:
+// parallel.AcquireProfiler and parallel.ReleaseProfiler are banned
+// there (a config is checked with core.Options.Validate, and a job's
+// profiler belongs to parallel.RunJob). Raw destructive writes are
+// covered by the first rule, which applies to every tree vvet runs
+// over — make lint runs it on internal/serve.
 //
 // Fifth, in every tree vvet runs over, parallel.AcquireVM and
 // atom.PrepareOn may be called only in internal/parallel's runjob.go,
@@ -98,6 +100,17 @@ var arenaBanned = map[string]string{
 	"core.NewValueProfiler": "acquire per-job profilers through the arena (AcquireProfiler) so pooling cannot silently regress",
 }
 
+// serveArenaMsg is why daemon code may not call the arena: its jobs
+// take their VM and profiler inside parallel.RunJob.
+const serveArenaMsg = "daemon code never touches the arena: check options with core.Options.Validate, and run jobs through parallel.RunJob"
+
+// serveBanned maps the arena calls daemon code may not make to the
+// reason.
+var serveBanned = map[string]string{
+	"parallel.AcquireProfiler": serveArenaMsg,
+	"parallel.ReleaseProfiler": serveArenaMsg,
+}
+
 // runPathBanned maps the calls that start a profiled run by hand to
 // the reason they belong to parallel.RunJob alone.
 var runPathBanned = map[string]string{
@@ -151,8 +164,8 @@ func serveScoped(path string) bool {
 
 // serveViolation flags daemon-scoped calls: os.Exit anywhere in serve
 // code (handlers report errors over the wire, they never end the
-// process) and the same arena-bypassing constructors the pool rule
-// bans.
+// process), the same arena-bypassing constructors the pool rule bans,
+// and the arena's profiler calls.
 func serveViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[string]string, osName string) *Finding {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -175,6 +188,9 @@ func serveViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[str
 	}
 	qualified := canonical + "." + sel.Sel.Name
 	if reason, ok := arenaBanned[qualified]; ok {
+		return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
+	}
+	if reason, ok := serveBanned[qualified]; ok {
 		return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
 	}
 	return nil

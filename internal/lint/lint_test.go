@@ -297,26 +297,42 @@ func fixture(prog *Program) {
 	if len(fs) != 0 {
 		t.Errorf("serve test-file findings = %v, want none", fs)
 	}
-	// Benign serve code — reads, the config probe's arena profiler,
-	// slices — is clean.
+	// Benign serve code — reads, an options check, slices — is clean.
 	ok := `package serve
 
 import (
 	"os"
 
 	"valueprof/internal/core"
-	"valueprof/internal/parallel"
 )
 
-func load(path string, n int) ([]byte, []int64) {
-	vp, _ := parallel.AcquireProfiler(core.Options{})
-	defer parallel.ReleaseProfiler(vp)
+func load(path string, n int) ([]byte, []int64, error) {
+	err := core.Options{}.Validate()
 	b, _ := os.ReadFile(path)
-	return b, make([]int64, n)
+	return b, make([]int64, n), err
 }
 `
 	if fs := checkAt(t, "internal/serve/runner.go", ok); len(fs) != 0 {
 		t.Errorf("benign serve findings = %v, want none", fs)
+	}
+	// A config probe through the arena is not: serve code never
+	// touches it.
+	probe := `package serve
+
+import (
+	"valueprof/internal/core"
+	"valueprof/internal/parallel"
+)
+
+func check(opts core.Options) error {
+	vp, err := parallel.AcquireProfiler(opts)
+	parallel.ReleaseProfiler(vp)
+	return err
+}
+`
+	fs = checkAt(t, "internal/serve/config.go", probe)
+	if len(fs) != 2 || fs[0].Call != "parallel.AcquireProfiler" || fs[1].Call != "parallel.ReleaseProfiler" {
+		t.Errorf("arena probe findings = %v, want parallel.AcquireProfiler and parallel.ReleaseProfiler", fs)
 	}
 }
 

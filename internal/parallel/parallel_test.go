@@ -238,9 +238,6 @@ func TestPooledSuiteAllocsPerJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two suite passes are slow")
 	}
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop a random share of Puts")
-	}
 	jobs := fullSuite()
 	var err error
 	perRun := testing.AllocsPerRun(1, func() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -231,5 +232,47 @@ func TestRunJobResume(t *testing.T) {
 	// The pool is unharmed by the refusals.
 	if got := recordOf(t, parallel.RunJob(context.Background(), job, parallel.Extras{})); !bytes.Equal(got, want) {
 		t.Error("fresh run after refusals differs from the first")
+	}
+}
+
+// wideTableAllocCeiling bounds what one compress job allocates at the
+// widest table a config may ask for. When every table reserved its
+// full width up front the job allocated 328 MiB; reserving entries as
+// values arrive, it allocates about 20 MiB (0.1 MiB at the default
+// width).
+const wideTableAllocCeiling = 32 << 20
+
+// A job's TNV tables reserve entries for the values that arrive, not
+// for the width its config asked for.
+func TestWideTableJobAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles a whole workload twice")
+	}
+	w, err := workloads.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// A default-width run compiles the workload and parks a VM and a
+	// profiler, so the measured run builds neither.
+	warm := parallel.Job{Workload: w, Input: w.Test, Options: core.DefaultOptions()}
+	if r := parallel.RunJob(ctx, warm, parallel.Extras{}); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	wide := warm
+	wide.Options = core.Options{TNV: core.TNVConfig{Size: 1 << 16, Steady: 1 << 15, ClearInterval: 2000}}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := parallel.RunJob(ctx, wide, parallel.Extras{})
+	runtime.ReadMemStats(&after)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a compress job at TNV size %d allocated %.1f MiB", wide.Options.TNV.Size, float64(got)/(1<<20))
+	if got > wideTableAllocCeiling {
+		t.Errorf("a compress job at TNV size %d allocated %.1f MiB, want at most %d MiB",
+			wide.Options.TNV.Size, float64(got)/(1<<20), wideTableAllocCeiling>>20)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"valueprof/internal/asm"
 	"valueprof/internal/atom"
 	"valueprof/internal/core"
-	"valueprof/internal/parallel"
 	"valueprof/internal/program"
 	"valueprof/internal/vm"
 )
@@ -125,15 +124,11 @@ func (c *JobConfig) Normalize() error {
 	if c.DeadlineMs < 0 || c.AttemptDeadlineMs < 0 || c.MemSize < 0 {
 		return reqErr(ClassConfig, "budgets must be non-negative")
 	}
-	// Validate through the same gates the profiler itself applies, so
+	// Validate through the same check the profiler itself applies, so
 	// a config the daemon accepts is one the run cannot later reject.
-	// The probe profiler comes from (and returns to) the arena — serve
-	// code never constructs profilers directly.
-	vp, err := parallel.AcquireProfiler(c.coreOptions())
-	if err != nil {
+	if err := c.coreOptions().Validate(); err != nil {
 		return reqErr(ClassConfig, "%v", err)
 	}
-	parallel.ReleaseProfiler(vp)
 	return nil
 }
 
