@@ -197,10 +197,22 @@ func (p *ValueProfiler) ResetFor(opts Options) error {
 	if err != nil {
 		return err
 	}
+	p.Park()
+	p.opts = opts
+	return nil
+}
+
+// Park drops the profiler's references to its last run: the site
+// tables, the slab they were carved from, checkpoint seeds, and the
+// value buffers' sites (the buffers themselves are kept for reuse). The
+// sites belong to the profile that escaped with them, so a parked
+// profiler no longer keeps them alive. It keeps its options; ResetFor
+// replaces them and readies it for the next run.
+func (p *ValueProfiler) Park() {
 	clear(p.sites)
 	clear(p.sampled)
 	for pc, b := range p.bufs {
-		b.Reset(nil) // park: drop pending values and the old site reference
+		b.Reset(nil) // drop pending values and the old site reference
 		p.freeBufs = append(p.freeBufs, b)
 		delete(p.bufs, pc)
 	}
@@ -208,11 +220,9 @@ func (p *ValueProfiler) ResetFor(opts Options) error {
 	p.seedSkipped = 0
 	p.Pruned = 0
 	p.runs = 0
-	p.opts = opts
 	// The slab is abandoned, not reused: its storage escaped into the
 	// previous profile's sites.
 	p.slab = siteSlab{}
-	return nil
 }
 
 // Instrument implements atom.Tool: it attaches an after-instruction

@@ -322,3 +322,39 @@ func TestOptionsValidateMatchesProfiler(t *testing.T) {
 		}
 	}
 }
+
+// TestParkDropsLastRun pins what a parked profiler still references of
+// the run it profiled: nothing. The sites and the slab they came from
+// belong to the profile that escaped, and a parked value buffer keeps
+// no site; the buffers themselves stay for reuse.
+func TestParkDropsLastRun(t *testing.T) {
+	prog, err := asm.Assemble(loopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := NewValueProfiler(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := atom.Run(prog, nil, false, vp); err != nil {
+		t.Fatal(err)
+	}
+	pr := vp.Profile()
+	if len(pr.Sites) == 0 || len(vp.bufs) == 0 {
+		t.Fatalf("the run left %d sites and %d value buffers, want some of each", len(pr.Sites), len(vp.bufs))
+	}
+	nbufs := len(vp.bufs)
+	vp.Park()
+	if len(vp.sites) != 0 || len(vp.bufs) != 0 || vp.seeded != nil {
+		t.Errorf("parked profiler holds %d sites, %d attached buffers, seeds %v", len(vp.sites), len(vp.bufs), vp.seeded != nil)
+	}
+	if vp.slab.stats != nil || vp.slab.tables != nil {
+		t.Error("parked profiler still holds its slab")
+	}
+	if len(vp.freeBufs) != nbufs {
+		t.Errorf("parked profiler kept %d value buffers for reuse, want %d", len(vp.freeBufs), nbufs)
+	}
+	if pr.Site(1).Exec != 100 {
+		t.Errorf("the escaped profile changed under Park: site 1 Exec = %d", pr.Site(1).Exec)
+	}
+}

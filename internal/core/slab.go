@@ -5,13 +5,12 @@ package core
 // jobs the way VMs and buffers are; instead each run carves its
 // SiteStats, TNVTable, and entry storage out of chunked slabs,
 // collapsing three heap allocations per site into three per chunk.
-// The slab is abandoned on ValueProfiler.ResetFor — its storage
-// belongs to the profile that escaped with it — and the next run
-// starts a fresh one.
+// The slab is abandoned on ValueProfiler.Park — its storage belongs to
+// the profile that escaped with it — and the next run starts a fresh
+// one.
 type siteSlab struct {
-	stats   []SiteStats
-	tables  []TNVTable
-	entries []TNVEntry
+	stats  []SiteStats
+	tables []TNVTable // each holds its carved entries until handed out
 }
 
 // siteSlabChunk is the number of sites allocated per slab refill.
@@ -23,28 +22,30 @@ const siteSlabChunk = 64
 // reserves follows the values it sees, not the width it asked for.
 const tableCarve = 16
 
-// newSite allocates one site from the slab. Each TNV table receives an
-// entry slice with capacity min(TNV.Size, tableCarve) carved from the
-// shared entry slab. A table no wider than tableCarve (the default
+// newSite allocates one site from the slab. A refill carves one shared
+// entry array into an empty slice of capacity min(TNV.Size,
+// tableCarve) per table. A table no wider than tableCarve (the default
 // width among them) never appends past its capacity; a wider one
-// outgrows it by append, which reallocates out of the slab. Ground-truth
-// sites (TrackFull) keep the plain allocation path: they carry maps
-// and are measurement-only.
+// outgrows it by append, which reallocates out of the slab.
+// Ground-truth sites (TrackFull) keep the plain allocation path: they
+// carry maps and are measurement-only.
 func (p *ValueProfiler) newSite(pc int, name string) *SiteStats {
 	if p.opts.TrackFull {
 		return NewSiteStats(pc, name, p.opts.TNV, true)
 	}
 	sl := &p.slab
-	k := min(p.opts.TNV.Size, tableCarve)
 	if len(sl.stats) == 0 {
+		k := min(p.opts.TNV.Size, tableCarve)
 		sl.stats = make([]SiteStats, siteSlabChunk)
 		sl.tables = make([]TNVTable, siteSlabChunk)
-		sl.entries = make([]TNVEntry, siteSlabChunk*k)
+		entries := make([]TNVEntry, siteSlabChunk*k)
+		for i := range sl.tables {
+			sl.tables[i].entries = entries[i*k : i*k : (i+1)*k]
+		}
 	}
 	s, t := &sl.stats[0], &sl.tables[0]
 	sl.stats, sl.tables = sl.stats[1:], sl.tables[1:]
-	*t = TNVTable{cfg: p.opts.TNV, entries: sl.entries[:0:k]}
-	sl.entries = sl.entries[k:]
+	*t = TNVTable{cfg: p.opts.TNV, entries: t.entries}
 	*s = SiteStats{PC: pc, Name: name, TNV: t}
 	return s
 }

@@ -91,15 +91,17 @@ func (t *TNVTable) rebuildSig() {
 	t.sig = sig
 }
 
-// NewTNV creates a table with room for min(cfg.Size, tableCarve)
-// entries; a wider one grows as distinct values arrive. It panics on
-// an invalid configuration (configurations are programmer-supplied
-// constants).
+// NewTNV creates a table with room for tableCarve entries: a narrower
+// table never fills them, and a wider one grows as distinct values
+// arrive. (The site slab carves min(Size, tableCarve); the flat
+// reserve keeps NewTNV within the inliner's budget, so NewSiteStats
+// stays one call.) It panics on an invalid configuration
+// (configurations are programmer-supplied constants).
 func NewTNV(cfg TNVConfig) *TNVTable {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &TNVTable{cfg: cfg, entries: make([]TNVEntry, 0, min(cfg.Size, tableCarve))}
+	return &TNVTable{cfg: cfg, entries: make([]TNVEntry, 0, tableCarve)}
 }
 
 // Config returns the table's configuration.

@@ -1,8 +1,8 @@
-// The arena: reuse of per-job execution state through two bounded
-// free lists. An N-job cross-product used to allocate a fresh VM (8 MiB
-// memory image, hook-bit/buffer tables) and a fresh profiler (site
-// maps, value buffers) per job; the arena recycles both through the
-// explicit ResetFor lifecycles of vm.VM and core.ValueProfiler, so
+// The arena: reuse of per-job execution state through two free lists.
+// An N-job cross-product used to allocate a fresh VM (8 MiB memory
+// image, hook-bit/buffer tables) and a fresh profiler (site maps,
+// value buffers) per job; the arena recycles both through the explicit
+// ResetFor lifecycles of vm.VM and core.ValueProfiler, so
 // steady-state pool throughput stops paying the allocator. Reused
 // instances are observably identical to fresh ones — byte identity of
 // profiles is pinned by internal/difftest's fresh-vs-reused property
@@ -13,10 +13,10 @@
 // Unlike a sync.Pool, which parks an instance in the releasing P's
 // private slot and drops what it holds after two collections, any
 // goroutine can take what another released and the collector never
-// empties it, so a warm arena builds nothing. Each list parks at most
-// runtime.GOMAXPROCS(0) instances, and a VM whose memory outgrew
-// vm.DefaultMemSize is never parked; what is not parked is left to
-// the collector.
+// empties it, so a warm arena builds nothing. A list holds no more
+// instances than were ever held at once, which every caller's worker
+// count bounds. A VM whose memory outgrew vm.DefaultMemSize is never
+// parked, and a parked profiler holds no site of its last job.
 //
 // This file is the only place in the package allowed to allocate
 // per-job VM state, and with RunJob's file the only place a VM is
@@ -25,7 +25,6 @@
 package parallel
 
 import (
-	"runtime"
 	"sync"
 
 	"valueprof/internal/core"
@@ -54,15 +53,11 @@ func (l *freeList[T]) get() (x T, ok bool) {
 	return x, true
 }
 
-// put parks x unless runtime.GOMAXPROCS(0) instances are parked
-// already.
+// put parks x.
 func (l *freeList[T]) put(x T) {
-	limit := runtime.GOMAXPROCS(0)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.items) < limit {
-		l.items = append(l.items, x)
-	}
+	l.items = append(l.items, x)
 }
 
 // vms and profs are the arena: the process-wide free lists behind
@@ -112,11 +107,13 @@ func AcquireProfiler(opts core.Options) (*core.ValueProfiler, error) {
 }
 
 // ReleaseProfiler parks p for reuse. The caller must have extracted
-// its Profile first; the profile's sites stay valid (ResetFor on the
-// next acquisition abandons rather than recycles them).
+// its Profile first; the profile's sites stay valid (Park drops the
+// profiler's references to them rather than recycling them), and a
+// parked profiler no longer keeps them alive.
 func ReleaseProfiler(p *core.ValueProfiler) {
 	if p == nil {
 		return
 	}
+	p.Park()
 	profs.put(p)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"valueprof/internal/asm"
+	"valueprof/internal/atom"
 	"valueprof/internal/core"
 	"valueprof/internal/program"
 	"valueprof/internal/vm"
@@ -73,17 +74,21 @@ func TestArenaReuseSurvivesCollections(t *testing.T) {
 	}
 }
 
-// Each list parks at most GOMAXPROCS instances, and a VM whose memory
-// outgrew the default is left to the collector.
+// A list parks every instance released to it, however many holders
+// outnumber GOMAXPROCS (vprofd's two default workers on one CPU), so
+// they all get theirs back; a VM whose memory outgrew the default is
+// left to the collector.
 func TestArenaBounds(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	drain(&vms)
 	drain(&profs)
 	prog := exitProg(t)
 	const small = 1 << 16
+	const holders = 3
+	released := map[any]bool{}
 	var vs []*vm.VM
 	var ps []*core.ValueProfiler
-	for i := 0; i < 3; i++ {
+	for i := 0; i < holders; i++ {
 		vs = append(vs, AcquireVM(prog, small))
 		p, err := AcquireProfiler(core.DefaultOptions())
 		if err != nil {
@@ -94,12 +99,26 @@ func TestArenaBounds(t *testing.T) {
 	for i := range vs {
 		ReleaseVM(vs[i])
 		ReleaseProfiler(ps[i])
+		released[vs[i]] = true
+		released[ps[i]] = true
 	}
-	if n := parked(&vms); n != 2 {
-		t.Errorf("%d VMs parked after releasing 3 at GOMAXPROCS 2, want 2", n)
+	if n := parked(&vms); n != holders {
+		t.Errorf("%d VMs parked after releasing %d at GOMAXPROCS 1, want %d", n, holders, holders)
 	}
-	if n := parked(&profs); n != 2 {
-		t.Errorf("%d profilers parked after releasing 3 at GOMAXPROCS 2, want 2", n)
+	if n := parked(&profs); n != holders {
+		t.Errorf("%d profilers parked after releasing %d at GOMAXPROCS 1, want %d", n, holders, holders)
+	}
+	for i := 0; i < holders; i++ {
+		v := AcquireVM(prog, small)
+		p, err := AcquireProfiler(core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !released[v] || !released[p] {
+			t.Errorf("holder %d of %d got a fresh instance instead of a parked one", i+1, holders)
+		}
+		defer ReleaseVM(v)
+		defer ReleaseProfiler(p)
 	}
 
 	big := AcquireVM(prog, 2*vm.DefaultMemSize)
@@ -107,11 +126,31 @@ func TestArenaBounds(t *testing.T) {
 		t.Fatalf("acquired %d bytes of memory, want %d", len(big.Mem), 2*vm.DefaultMemSize)
 	}
 	ReleaseVM(big)
-	if n := parked(&vms); n != 1 {
-		t.Errorf("%d VMs parked after releasing one of %d bytes, want 1", n, 2*vm.DefaultMemSize)
+	if n := parked(&vms); n != 0 {
+		t.Errorf("%d VMs parked after releasing one of %d bytes, want 0", n, 2*vm.DefaultMemSize)
 	}
-	if v, _ := vms.get(); v == big {
-		t.Error("a VM larger than vm.DefaultMemSize was parked")
+}
+
+// A parked profiler holds no site of its last job: the sites belong
+// to the profile that escaped, and parking must not keep them alive.
+func TestReleasedProfilerDropsSites(t *testing.T) {
+	prog, err := asm.Assemble("main: li t0, 7\n addi t0, t0, 1\n syscall exit\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := AcquireProfiler(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := atom.Run(prog, nil, false, p); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.Profile().Sites); n == 0 {
+		t.Fatal("the job profiled no site")
+	}
+	ReleaseProfiler(p)
+	if n := len(p.Profile().Sites); n != 0 {
+		t.Errorf("a released profiler still holds %d sites of its last job", n)
 	}
 }
 
