@@ -93,9 +93,9 @@ func (t *TNVTable) rebuildSig() {
 
 // NewTNV creates a table with room for tableCarve entries: a narrower
 // table never fills them, and a wider one grows as distinct values
-// arrive. (The site slab carves min(Size, tableCarve); the flat
-// reserve keeps NewTNV within the inliner's budget, so NewSiteStats
-// stays one call.) It panics on an invalid configuration
+// arrive. The site slab carves min(Size, tableCarve) instead; here the
+// flat reserve keeps NewTNV within the inliner's budget, so it still
+// inlines into NewSiteStats. It panics on an invalid configuration
 // (configurations are programmer-supplied constants).
 func NewTNV(cfg TNVConfig) *TNVTable {
 	if err := cfg.validate(); err != nil {
